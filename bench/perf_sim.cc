@@ -2,8 +2,9 @@
  * @file
  * Simulator hot-path performance benchmarks: the allocation-free
  * structure primitives (BTB row search/read, first-level search with
- * candidate merge) and end-to-end CoreModel::run throughput with the
- * event-skipping loop, with stats-text collection on and off.
+ * candidate merge), end-to-end CoreModel::run throughput with the
+ * event-skipping loop, with stats-text collection on and off, and the
+ * checkpoint encoder's save + restore throughput.
  *
  * Headline trajectory numbers live in BENCH_sim.json, produced by
  * scripts/perf.sh from a fixed-seed sweep; this binary is for zooming
@@ -17,14 +18,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include "zbp/ckpt/ckpt.hh"
 #include "zbp/core/hierarchy.hh"
 #include "zbp/cpu/core_model.hh"
 #include "zbp/obs/interval_sampler.hh"
+#include "zbp/sample/snapshot_fanout.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
 #include "zbp/sim/configs.hh"
 #include "zbp/trace/trace_index.hh"
 #include "zbp/workload/generator.hh"
 #include "zbp/workload/program_builder.hh"
+#include "zbp/workload/suites.hh"
 
 namespace
 {
@@ -349,6 +353,46 @@ BENCHMARK(BM_GangMicroChunk)
         ->Arg(4096)
         ->Arg(16384)
         ->Unit(benchmark::kMillisecond);
+
+// --- checkpoint encode/decode ---------------------------------------
+
+void
+BM_CkptSaveRestore(benchmark::State &state)
+{
+    // The last fan-out snapshot of tpf at 0.5x with the sampled_sim
+    // geometry (32 intervals): about 1.1 MB, 807 KB of it BTB planes.
+    // Each iteration restores it into one armed model and saves it back
+    // through a reused writer, so bytes processed = 2 x image size and
+    // the MB/s rate is the encoder's, with no model construction in it.
+    const core::MachineParams cfg = sim::configBtb2();
+    const auto trace =
+            workload::makeSuiteTrace(workload::findSuite("tpf"), 0.5);
+    sample::SampleParams p;
+    p.intervalInsts = (trace.size() + 31) / 32;
+    p.warmupInsts = p.intervalInsts / 20;
+    p.measureInsts = p.intervalInsts / 10;
+    cpu::CoreModel warm(cfg);
+    const auto fan = sample::runWarmupFanout(
+            warm, trace, sample::planIntervals(trace.size(), p), p.mode);
+    const ckpt::SnapshotBuffer &snap = fan.snapshots.back();
+
+    cpu::CoreModel model(cfg);
+    model.beginRun(trace);
+    ckpt::Writer w;
+    for (auto _ : state) {
+        ckpt::Reader r = snap.reader();
+        model.restoreState(r);
+        r.finish();
+        w.clear();
+        model.saveState(w);
+        w.finish();
+        benchmark::DoNotOptimize(w.bytes().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+            state.iterations() * 2 * snap.sizeBytes()));
+}
+BENCHMARK(BM_CkptSaveRestore)->Unit(benchmark::kMillisecond);
 
 // --- CMP lockstep stepping ------------------------------------------
 

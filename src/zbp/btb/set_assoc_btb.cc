@@ -207,6 +207,19 @@ SetAssocBtb::validCount() const
     return n;
 }
 
+namespace
+{
+
+/** Stored bytes per row: key, ia and target (u64) plus meta (u8) per
+ * way, the row signature (u64), and one LRU order byte per way. */
+std::size_t
+rowRecordBytes(std::uint32_t ways)
+{
+    return std::size_t{ways} * (8 + 8 + 8 + 1) + 8 + ways;
+}
+
+} // namespace
+
 void
 SetAssocBtb::saveState(ckpt::Writer &w) const
 {
@@ -216,19 +229,20 @@ SetAssocBtb::saveState(ckpt::Writer &w) const
     w.putU32(cfg.rowBytes);
     w.putU32(cfg.tagBits);
     // Only the configured ways are stored; padding lanes are always
-    // zero and are reconstructed on restore.
+    // zero and stay zero in the restoring table.
+    std::uint8_t *p = w.extend(cfg.rows * rowRecordBytes(cfg.ways));
     for (std::uint32_t row = 0; row < cfg.rows; ++row) {
         const std::size_t base = slotBase(row);
         for (std::uint32_t way = 0; way < cfg.ways; ++way) {
             const std::size_t s = base + way;
-            w.putU64(keys[s]);
-            w.putU64(ias[s]);
-            w.putU64(targets[s]);
-            w.putU8(meta[s]);
+            ckpt::storeLe(p, keys[s]);
+            ckpt::storeLe<std::uint64_t>(p, ias[s]);
+            ckpt::storeLe<std::uint64_t>(p, targets[s]);
+            ckpt::storeLe(p, meta[s]);
         }
-        w.putU64(rowSig[row]);
+        ckpt::storeLe(p, rowSig[row]);
         for (unsigned i = 0; i < cfg.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(lru[row].orderAt(i)));
+            ckpt::storeLe<std::uint8_t>(p, lru[row].orderAt(i));
     }
     w.putU64(nInstalls.value());
     w.putU64(nEvictions.value());
@@ -243,41 +257,29 @@ SetAssocBtb::restoreState(ckpt::Reader &r)
     if (r.getU32() != cfg.rows || r.getU32() != cfg.ways ||
         r.getU32() != cfg.rowBytes || r.getU32() != cfg.tagBits)
         throw ckpt::CkptError("BTB '" + btbName + "' geometry mismatch");
-    // Stage into fresh planes so a mid-section CkptError cannot leave
-    // the live table half-overwritten.
-    std::vector<std::uint64_t> k(keys.size(), 0);
-    std::vector<Addr> ia(ias.size(), 0);
-    std::vector<Addr> tg(targets.size(), 0);
-    std::vector<std::uint8_t> mt(meta.size(), 0);
-    std::vector<std::uint64_t> sig(rowSig.size(), 0);
-    std::vector<LruState> lr(lru);
+    // Decoded straight into the live planes: a CkptError part-way
+    // leaves the table half-restored, and the caller discards the model
+    // (ckpt.hh).
+    const std::uint8_t *p = r.take(cfg.rows, rowRecordBytes(cfg.ways));
     for (std::uint32_t row = 0; row < cfg.rows; ++row) {
         const std::size_t base = slotBase(row);
         for (std::uint32_t way = 0; way < cfg.ways; ++way) {
             const std::size_t s = base + way;
-            k[s] = r.getU64();
-            ia[s] = r.getU64();
-            tg[s] = r.getU64();
-            mt[s] = r.getU8();
+            keys[s] = ckpt::loadLe<std::uint64_t>(p);
+            ias[s] = ckpt::loadLe<std::uint64_t>(p);
+            targets[s] = ckpt::loadLe<std::uint64_t>(p);
+            meta[s] = ckpt::loadLe<std::uint8_t>(p);
         }
-        sig[row] = r.getU64();
-        std::uint8_t order[kMaxBtbWays];
-        for (unsigned i = 0; i < cfg.ways; ++i)
-            order[i] = r.getU8();
-        if (!lr[row].setOrder(order, cfg.ways))
+        rowSig[row] = ckpt::loadLe<std::uint64_t>(p);
+        if (!lru[row].setOrder(p, cfg.ways))
             throw ckpt::CkptError("BTB '" + btbName +
                                   "' LRU state is not a permutation");
+        p += cfg.ways;
     }
     const std::uint64_t installs = r.getU64();
     const std::uint64_t evictions = r.getU64();
     const std::uint64_t updates = r.getU64();
     r.closeSection();
-    keys = std::move(k);
-    ias = std::move(ia);
-    targets = std::move(tg);
-    meta = std::move(mt);
-    rowSig = std::move(sig);
-    lru = std::move(lr);
     nInstalls.reset();
     nInstalls += installs;
     nEvictions.reset();

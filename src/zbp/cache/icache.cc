@@ -1,5 +1,7 @@
 #include "zbp/cache/icache.hh"
 
+#include <utility>
+
 namespace zbp::cache
 {
 
@@ -91,17 +93,25 @@ ICache::saveState(ckpt::Writer &w) const
     w.putU32(numSets);
     w.putU32(prm.ways);
     w.putU32(prm.lineBytes);
+    std::uint8_t *p = w.extend(lines.size() * kLineBytes +
+                               lru.size() * prm.ways);
     for (const Line &l : lines) {
-        w.putBool(l.valid);
-        w.putU64(l.tag);
+        ckpt::storeLe<std::uint8_t>(p, l.valid);
+        ckpt::storeLe<std::uint64_t>(p, l.tag);
     }
     for (const LruState &s : lru)
         for (unsigned i = 0; i < prm.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(s.orderAt(i)));
-    w.putU64(blockMiss.size());
-    for (const auto &[block, cycle] : blockMiss) {
-        w.putU64(block);
-        w.putU64(cycle);
+            ckpt::storeLe<std::uint8_t>(p, s.orderAt(i));
+    // In block order, not hash order, so that saving a restored cache
+    // reproduces the image byte for byte.
+    std::vector<std::pair<Addr, Cycle>> bm(blockMiss.begin(),
+                                           blockMiss.end());
+    ckpt::sortByKey(bm, [](const auto &e) { return e.first; });
+    w.putU64(bm.size());
+    p = w.extend(bm.size() * 16);
+    for (const auto &[block, cycle] : bm) {
+        ckpt::storeLe<std::uint64_t>(p, block);
+        ckpt::storeLe<std::uint64_t>(p, cycle);
     }
     w.putU64(nHits.value());
     w.putU64(nMisses.value());
@@ -115,32 +125,30 @@ ICache::restoreState(ckpt::Reader &r)
     if (r.getU32() != numSets || r.getU32() != prm.ways ||
         r.getU32() != prm.lineBytes)
         throw ckpt::CkptError("I-cache geometry mismatch");
-    std::vector<Line> fresh(lines.size());
-    for (Line &l : fresh) {
-        l.valid = r.getBool();
-        l.tag = r.getU64();
+    // Decoded straight into the live cache; a CkptError part-way means
+    // the caller discards the model (ckpt.hh).
+    const std::uint8_t *p = r.take(lines.size(), kLineBytes);
+    for (Line &l : lines) {
+        l.valid = ckpt::loadLe<std::uint8_t>(p) != 0;
+        l.tag = ckpt::loadLe<std::uint64_t>(p);
     }
-    std::vector<LruState> lr(lru);
-    for (LruState &s : lr) {
-        std::uint8_t order[LruState::kMaxWays];
-        for (unsigned i = 0; i < prm.ways; ++i)
-            order[i] = r.getU8();
-        if (!s.setOrder(order, prm.ways))
+    p = r.take(lru.size(), prm.ways);
+    for (LruState &s : lru) {
+        if (!s.setOrder(p, prm.ways))
             throw ckpt::CkptError("I-cache LRU state is not a permutation");
+        p += prm.ways;
     }
     const std::uint64_t n = r.getU64();
-    std::unordered_map<Addr, Cycle> bm;
-    bm.reserve(static_cast<std::size_t>(n));
+    p = r.take(n, 16);
+    blockMiss.clear();
+    blockMiss.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr block = r.getU64();
-        bm[block] = r.getU64();
+        const Addr block = ckpt::loadLe<std::uint64_t>(p);
+        blockMiss[block] = ckpt::loadLe<std::uint64_t>(p);
     }
     const std::uint64_t hits = r.getU64();
     const std::uint64_t misses = r.getU64();
     r.closeSection();
-    lines = std::move(fresh);
-    lru = std::move(lr);
-    blockMiss = std::move(bm);
     nHits.reset();
     nHits += hits;
     nMisses.reset();

@@ -125,6 +125,9 @@ class ICache
         Addr tag = 0;
     };
 
+    /** Snapshot bytes per line: valid (u8), tag (u64). */
+    static constexpr std::size_t kLineBytes = 1 + 8;
+
     std::uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
 

@@ -7,7 +7,6 @@
 
 #include "zbp/ckpt/ckpt.hh"
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -24,25 +23,32 @@ namespace
 
 constexpr char kMagic[4] = {'Z', 'B', 'P', 'C'};
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slicing-by-8 tables: t[0] is the classic byte table, t[k][i] the
+ * CRC of byte i followed by k zero bytes, so eight bytes fold per
+ * step. */
+struct CrcTables
 {
-    std::array<std::uint32_t, 256> t{};
+    std::uint32_t t[8][256];
+};
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        t[i] = c;
+        tab.t[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i)
+        for (int k = 1; k < 8; ++k)
+            tab.t[k][i] = (tab.t[k - 1][i] >> 8) ^
+                          tab.t[0][tab.t[k - 1][i] & 0xFFu];
+    return tab;
 }
 
-const std::array<std::uint32_t, 256> &
-crcTable()
-{
-    static const std::array<std::uint32_t, 256> t = makeCrcTable();
-    return t;
-}
+constexpr CrcTables kCrc = makeCrcTables();
 
 } // namespace
 
@@ -50,37 +56,22 @@ std::uint32_t
 crc32(const void *data, std::size_t n)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
-    const auto &tab = crcTable();
+    const auto &t = kCrc.t;
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = tab[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; n >= 8; n -= 8) {
+        const std::uint32_t lo = loadLe<std::uint32_t>(p) ^ c;
+        const std::uint32_t hi = loadLe<std::uint32_t>(p);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; --n)
+        c = t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
 // ---- Writer ---------------------------------------------------------
-
-void
-Writer::putU32(std::uint32_t v)
-{
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void
-Writer::putU64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-Writer::putBytes(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf.insert(buf.end(), p, p + n);
-}
 
 void
 Writer::beginSection(std::uint32_t tag)
@@ -101,9 +92,8 @@ Writer::endSection()
 {
     ZBP_ASSERT(inSection, "ckpt writer: endSection without beginSection");
     const std::uint64_t len = buf.size() - payloadStart;
-    for (int i = 0; i < 8; ++i)
-        buf[payloadStart - 8 + static_cast<std::size_t>(i)] =
-                static_cast<std::uint8_t>(len >> (8 * i));
+    std::uint8_t *lenField = buf.data() + payloadStart - 8;
+    storeLe(lenField, len);
     putU32(crc32(buf.data() + payloadStart, static_cast<std::size_t>(len)));
     inSection = false;
 }
@@ -118,9 +108,17 @@ Writer::finish()
     }
     putU32(kEndTag);
     putU64(0);
-    const std::size_t start = buf.size();
-    putU32(crc32(buf.data() + start, 0));
+    putU32(crc32(nullptr, 0));
     finished = true;
+}
+
+void
+Writer::clear()
+{
+    buf.clear();
+    payloadStart = 0;
+    inSection = false;
+    finished = false;
 }
 
 // ---- Reader ---------------------------------------------------------
@@ -132,62 +130,17 @@ Reader::Reader(const std::uint8_t *data, std::size_t n) : base(data), size(n)
     if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         throw CkptError("checkpoint: bad magic");
     pos = sizeof(kMagic);
-    std::uint32_t ver = static_cast<std::uint32_t>(data[pos]) |
-          static_cast<std::uint32_t>(data[pos + 1]) << 8 |
-          static_cast<std::uint32_t>(data[pos + 2]) << 16 |
-          static_cast<std::uint32_t>(data[pos + 3]) << 24;
-    pos += 4;
+    const std::uint32_t ver = getU32();
     if (ver != kFormatVersion)
         throw CkptError("checkpoint: format version " + std::to_string(ver) +
                         " != supported " + std::to_string(kFormatVersion));
 }
 
 void
-Reader::need(std::size_t n) const
+Reader::throwTruncated() const
 {
-    const std::size_t limit = inSection ? payloadEnd : size;
-    if (pos + n > limit || pos + n < pos)
-        throw CkptError("checkpoint truncated: read past " +
-                        std::string(inSection ? "section payload" : "file"));
-}
-
-std::uint8_t
-Reader::getU8()
-{
-    need(1);
-    return base[pos++];
-}
-
-std::uint32_t
-Reader::getU32()
-{
-    need(4);
-    std::uint32_t v = static_cast<std::uint32_t>(base[pos]) |
-                      static_cast<std::uint32_t>(base[pos + 1]) << 8 |
-                      static_cast<std::uint32_t>(base[pos + 2]) << 16 |
-                      static_cast<std::uint32_t>(base[pos + 3]) << 24;
-    pos += 4;
-    return v;
-}
-
-std::uint64_t
-Reader::getU64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(base[pos + static_cast<std::size_t>(i)])
-             << (8 * i);
-    pos += 8;
-    return v;
-}
-
-void
-Reader::getBytes(void *out, std::size_t n)
-{
-    need(n);
-    std::memcpy(out, base + pos, n);
-    pos += n;
+    throw CkptError("checkpoint truncated: read past " +
+                    std::string(inSection ? "section payload" : "file"));
 }
 
 void
@@ -202,11 +155,8 @@ Reader::openSection(std::uint32_t tag)
     const std::uint64_t len = getU64();
     if (len > size - pos || pos + len + 4 > size)
         throw CkptError("checkpoint truncated: section payload");
-    const std::uint32_t want =
-            static_cast<std::uint32_t>(base[pos + len]) |
-            static_cast<std::uint32_t>(base[pos + len + 1]) << 8 |
-            static_cast<std::uint32_t>(base[pos + len + 2]) << 16 |
-            static_cast<std::uint32_t>(base[pos + len + 3]) << 24;
+    const std::uint8_t *crcField = base + pos + len;
+    const std::uint32_t want = loadLe<std::uint32_t>(crcField);
     if (crc32(base + pos, static_cast<std::size_t>(len)) != want)
         throw CkptError("checkpoint: section " + std::to_string(tag) +
                         " CRC mismatch");
@@ -278,24 +228,6 @@ struct RawSection
     std::size_t len;
 };
 
-std::uint32_t
-peekU32(const std::uint8_t *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-peekU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /** Walk the frame structure of a snapshot image (header + tag/len/crc
  * framing only — payload contents and CRCs are not validated here; the
  * diff compares payload bytes directly). */
@@ -313,8 +245,9 @@ walkSections(const SnapshotBuffer &snap)
     while (pos < n) {
         if (pos + 12 > n)
             throw CkptError("snapshot diff: truncated section header");
-        const std::uint32_t t = peekU32(p + pos);
-        const std::uint64_t len = peekU64(p + pos + 4);
+        const std::uint8_t *frame = p + pos;
+        const std::uint32_t t = loadLe<std::uint32_t>(frame);
+        const std::uint64_t len = loadLe<std::uint64_t>(frame);
         pos += 12;
         if (len > n - pos || pos + len + 4 > n)
             throw CkptError("snapshot diff: truncated section payload");

@@ -18,19 +18,32 @@
  * serializes into exactly one section with its own tag, and the reader
  * demands the same tags in the same order (a mismatch means the file
  * was written by a different configuration or version — CkptError).
- * Every scalar inside a payload is written with an explicit put/get
- * call; Reader bounds-checks every read and closeSection() insists the
- * payload was consumed exactly, so *any* corruption is caught by the
- * CRC, the bounds checks, or a semantic validator (e.g. LRU
- * permutation checks) before partial state can leak into a run.
+ * Every scalar inside a payload is encoded explicitly: one put/get per
+ * header field, and storeLe/loadLe over a Writer::extend /
+ * Reader::take span for bulk tables, which costs one bounds check per
+ * span instead of one per scalar.  closeSection() insists the payload
+ * was consumed exactly, so *any* corruption is caught by the CRC, the
+ * bounds checks, or a semantic validator (e.g. LRU permutation
+ * checks).
+ *
+ * Restores decode straight into the live structures, so a restore that
+ * throws CkptError may leave its component half-overwritten.  The
+ * contract is discard-on-CkptError: the caller throws the whole model
+ * away (every runner rebuilds it before falling back to a from-scratch
+ * run), which is how partial state never leaks into a run.
  */
 
 #ifndef ZBP_CKPT_CKPT_HH
 #define ZBP_CKPT_CKPT_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace zbp::ckpt
@@ -82,20 +95,99 @@ inline constexpr std::uint32_t kGang = 0x13;
 /** CRC-32 (IEEE 802.3, the zlib polynomial) over @p n bytes. */
 std::uint32_t crc32(const void *data, std::size_t n);
 
+/** Store @p v at @p p as explicit little-endian bytes and advance @p p
+ * past it: one memcpy on little-endian hosts, a byte shuffle elsewhere,
+ * so the image is the same on every host. */
+template <typename T>
+inline void
+storeLe(std::uint8_t *&p, T v)
+{
+    static_assert(std::is_unsigned_v<T>, "ckpt scalars are unsigned");
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    p += sizeof(T);
+}
+
+/** Load a little-endian @p T from @p p and advance @p p past it. */
+template <typename T>
+inline T
+loadLe(const std::uint8_t *&p)
+{
+    static_assert(std::is_unsigned_v<T>, "ckpt scalars are unsigned");
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
+    }
+    p += sizeof(T);
+    return v;
+}
+
+/**
+ * Sort @p v ascending by the u64 @p key of each element.  Hash-ordered
+ * books (sets and maps keyed by address) are written in this order so
+ * that saving a restored structure reproduces its image byte for byte.
+ * LSD radix, a byte per pass, skipping the bytes every key shares: a
+ * comparison sort of the few thousand addresses in a book costs more
+ * than encoding the whole BTB.
+ */
+template <typename T, typename Key>
+void
+sortByKey(std::vector<T> &v, Key key)
+{
+    if (v.size() < 2)
+        return;
+    std::array<std::array<std::size_t, 256>, 8> count{};
+    for (const T &x : v)
+        for (unsigned d = 0; d < 8; ++d)
+            ++count[d][(key(x) >> (8 * d)) & 0xFFu];
+    std::vector<T> out(v.size());
+    for (unsigned d = 0; d < 8; ++d) {
+        auto &at = count[d];
+        if (at[(key(v[0]) >> (8 * d)) & 0xFFu] == v.size())
+            continue;
+        std::size_t sum = 0;
+        for (std::size_t &c : at)
+            sum += std::exchange(c, sum);
+        for (const T &x : v)
+            out[at[(key(x) >> (8 * d)) & 0xFFu]++] = x;
+        v.swap(out);
+    }
+}
+
 /** Accumulates a snapshot into a byte vector, one section at a time. */
 class Writer
 {
   public:
-    void
-    putU8(std::uint8_t v)
+    /** Append @p n bytes and return a pointer to the first of them; the
+     * caller fills all @p n (storeLe) before the next append, which may
+     * move the buffer.  Bulk sections write whole tables through one
+     * extend() instead of one put per scalar. */
+    std::uint8_t *
+    extend(std::size_t n)
     {
-        buf.push_back(v);
+        const std::size_t at = buf.size();
+        buf.resize(at + n);
+        return buf.data() + at;
     }
 
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
+    void putU8(std::uint8_t v) { put(v); }
+    void putU32(std::uint32_t v) { put(v); }
+    void putU64(std::uint64_t v) { put(v); }
     void putBool(bool v) { putU8(v ? 1 : 0); }
-    void putBytes(const void *data, std::size_t n);
+
+    void
+    putBytes(const void *data, std::size_t n)
+    {
+        if (n != 0)
+            std::memcpy(extend(n), data, n);
+    }
 
     /** Open a section; every put until endSection() lands in its
      * payload.  Sections never nest. */
@@ -107,9 +199,21 @@ class Writer
     /** Append the terminal section.  The writer is complete after. */
     void finish();
 
+    /** Start a new, empty snapshot, keeping the buffer's capacity (a
+     * warm-up pass reuses one writer for every snapshot it takes). */
+    void clear();
+
     const std::vector<std::uint8_t> &bytes() const { return buf; }
 
   private:
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t *p = extend(sizeof(T));
+        storeLe(p, v);
+    }
+
     std::vector<std::uint8_t> buf;
     std::size_t payloadStart = 0; ///< first payload byte of open section
     bool inSection = false;
@@ -124,11 +228,35 @@ class Reader
     /** @p data must outlive the reader.  Verifies magic + version. */
     Reader(const std::uint8_t *data, std::size_t n);
 
-    std::uint8_t getU8();
-    std::uint32_t getU32();
-    std::uint64_t getU64();
+    /**
+     * Consume @p count records of @p width bytes (width >= 1) and
+     * return a pointer to the first byte; the caller decodes them with
+     * loadLe.  One overflow-safe bounds check covers the whole span, so
+     * an untrusted record count can never read past the open section.
+     */
+    const std::uint8_t *
+    take(std::uint64_t count, std::size_t width = 1)
+    {
+        const std::size_t limit = inSection ? payloadEnd : size;
+        if (count > (limit - pos) / width)
+            throwTruncated();
+        const std::uint8_t *p = base + pos;
+        pos += static_cast<std::size_t>(count) * width;
+        return p;
+    }
+
+    std::uint8_t getU8() { return get<std::uint8_t>(); }
+    std::uint32_t getU32() { return get<std::uint32_t>(); }
+    std::uint64_t getU64() { return get<std::uint64_t>(); }
     bool getBool() { return getU8() != 0; }
-    void getBytes(void *out, std::size_t n);
+
+    void
+    getBytes(void *out, std::size_t n)
+    {
+        const std::uint8_t *p = take(n);
+        if (n != 0)
+            std::memcpy(out, p, n);
+    }
 
     /** Open the next section, which must carry @p tag; verifies its CRC
      * before any payload byte is handed out. */
@@ -142,7 +270,15 @@ class Reader
     void finish();
 
   private:
-    void need(std::size_t n) const;
+    template <typename T>
+    T
+    get()
+    {
+        const std::uint8_t *p = take(sizeof(T));
+        return loadLe<T>(p);
+    }
+
+    [[noreturn]] void throwTruncated() const;
 
     const std::uint8_t *base;
     std::size_t size;
@@ -165,7 +301,9 @@ class SnapshotBuffer
   public:
     SnapshotBuffer() = default;
 
-    /** Capture the image of @p w, which must be finish()ed. */
+    /** Capture a copy of the image of @p w, which must be finish()ed.
+     * The copy is exact-size: none of the writer's spare capacity is
+     * retained, so @p w can be cleared and reused. */
     static SnapshotBuffer
     capture(const Writer &w)
     {

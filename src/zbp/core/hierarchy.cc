@@ -1,6 +1,7 @@
 #include "zbp/core/hierarchy.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace zbp::core
 {
@@ -298,11 +299,19 @@ BranchPredictorHierarchy::saveState(ckpt::Writer &w) const
 {
     w.beginSection(ckpt::tag::kHierarchy);
     w.putBool(ownsBtb2());
-    w.putU32(static_cast<std::uint32_t>(installCycle.size()));
-    installCycle.forEach([&w](Addr ia, Cycle c) {
-        w.putU64(ia);
-        w.putU64(c);
-    });
+    // In address order, not slot order, so that saving a restored
+    // hierarchy reproduces the image byte for byte.
+    std::vector<std::pair<Addr, Cycle>> ic;
+    ic.reserve(installCycle.size());
+    installCycle.forEach(
+            [&ic](Addr ia, Cycle c) { ic.emplace_back(ia, c); });
+    ckpt::sortByKey(ic, [](const auto &e) { return e.first; });
+    w.putU32(static_cast<std::uint32_t>(ic.size()));
+    std::uint8_t *p = w.extend(ic.size() * 16);
+    for (const auto &[ia, c] : ic) {
+        ckpt::storeLe<std::uint64_t>(p, ia);
+        ckpt::storeLe<std::uint64_t>(p, c);
+    }
     w.putU64(nPredictions.value());
     w.putU64(nPromotions.value());
     w.putU64(nVictimsToBtb2.value());
@@ -330,10 +339,11 @@ BranchPredictorHierarchy::restoreState(ckpt::Reader &r)
     if (r.getBool() != ownsBtb2())
         throw ckpt::CkptError("hierarchy BTB2 ownership mismatch");
     const std::uint32_t nic = r.getU32();
-    std::vector<std::pair<Addr, Cycle>> ic(nic);
-    for (auto &[ia, c] : ic) {
-        ia = r.getU64();
-        c = r.getU64();
+    const std::uint8_t *p = r.take(nic, 16);
+    installCycle.clear();
+    for (std::uint32_t i = 0; i < nic; ++i) {
+        const Addr ia = ckpt::loadLe<std::uint64_t>(p);
+        installCycle.assign(ia, ckpt::loadLe<std::uint64_t>(p));
     }
     const std::uint64_t preds = r.getU64();
     const std::uint64_t promos = r.getU64();
@@ -353,9 +363,6 @@ BranchPredictorHierarchy::restoreState(ckpt::Reader &r)
     fitTable.restoreState(r);
     specHist.restoreState(r);
     archHist.restoreState(r);
-    installCycle.clear();
-    for (const auto &[ia, c] : ic)
-        installCycle.assign(ia, c);
     nPredictions.reset();
     nPredictions += preds;
     nPromotions.reset();

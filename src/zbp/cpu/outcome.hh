@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/types.hh"
@@ -117,9 +118,9 @@ class OutcomeTracker
         g.add("phantom", counts[7], "phantom predictions");
     }
 
-    /** Serialize into one checkpoint section.  The seen-set iteration
-     * order is unspecified but irrelevant: membership is the only
-     * observable property. */
+    /** Serialize into one checkpoint section.  The seen set goes out
+     * in address order, not hash order, so that saving a restored
+     * tracker reproduces the image byte for byte. */
     void
     saveState(ckpt::Writer &w) const
     {
@@ -127,9 +128,12 @@ class OutcomeTracker
         for (const auto &c : counts)
             w.putU64(c.value());
         w.putU64(total.value());
-        w.putU64(seen.size());
-        for (const Addr a : seen)
-            w.putU64(a);
+        std::vector<Addr> addrs(seen.begin(), seen.end());
+        ckpt::sortByKey(addrs, [](Addr a) { return a; });
+        w.putU64(addrs.size());
+        std::uint8_t *p = w.extend(addrs.size() * 8);
+        for (const Addr a : addrs)
+            ckpt::storeLe<std::uint64_t>(p, a);
         w.endSection();
     }
 
@@ -143,10 +147,11 @@ class OutcomeTracker
             c = r.getU64();
         const std::uint64_t tot = r.getU64();
         const std::uint64_t n = r.getU64();
+        const std::uint8_t *p = r.take(n, 8);
         std::unordered_set<Addr> fresh;
         fresh.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i)
-            fresh.insert(r.getU64());
+            fresh.insert(ckpt::loadLe<std::uint64_t>(p));
         r.closeSection();
         for (std::size_t i = 0; i < kNumOutcomes; ++i) {
             counts[i].reset();

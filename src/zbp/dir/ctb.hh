@@ -106,10 +106,11 @@ class Ctb
         w.beginSection(ckpt::tag::kCtb);
         w.putU32(static_cast<std::uint32_t>(table.size()));
         w.putU32(tagBits);
+        std::uint8_t *p = w.extend(table.size() * kEntryBytes);
         for (const Entry &e : table) {
-            w.putBool(e.valid);
-            w.putU32(e.tag);
-            w.putU64(e.target);
+            ckpt::storeLe<std::uint8_t>(p, e.valid);
+            ckpt::storeLe<std::uint32_t>(p, e.tag);
+            ckpt::storeLe<std::uint64_t>(p, e.target);
         }
         w.endSection();
     }
@@ -122,10 +123,11 @@ class Ctb
         r.openSection(ckpt::tag::kCtb);
         if (r.getU32() != table.size() || r.getU32() != tagBits)
             throw ckpt::CkptError("CTB geometry mismatch");
+        const std::uint8_t *p = r.take(table.size(), kEntryBytes);
         for (Entry &e : table) {
-            e.valid = r.getBool();
-            e.tag = static_cast<std::uint16_t>(r.getU32());
-            e.target = r.getU64();
+            e.valid = ckpt::loadLe<std::uint8_t>(p) != 0;
+            e.tag = static_cast<std::uint16_t>(ckpt::loadLe<std::uint32_t>(p));
+            e.target = ckpt::loadLe<std::uint64_t>(p);
         }
         r.closeSection();
     }
@@ -165,6 +167,9 @@ class Ctb
         std::uint16_t tag = 0;
         Addr target = 0;
     };
+
+    /** Snapshot bytes per entry: valid (u8), tag (u32), target (u64). */
+    static constexpr std::size_t kEntryBytes = 1 + 4 + 8;
 
     std::uint16_t
     tagOf(Addr ia) const

@@ -135,10 +135,11 @@ class Pht
         w.beginSection(ckpt::tag::kPht);
         w.putU32(static_cast<std::uint32_t>(table.size()));
         w.putU32(tagBits);
+        std::uint8_t *p = w.extend(table.size() * kEntryBytes);
         for (const Entry &e : table) {
-            w.putBool(e.valid);
-            w.putU32(e.tag);
-            w.putU8(e.dir.raw());
+            ckpt::storeLe<std::uint8_t>(p, e.valid);
+            ckpt::storeLe<std::uint32_t>(p, e.tag);
+            ckpt::storeLe(p, e.dir.raw());
         }
         w.endSection();
     }
@@ -151,10 +152,11 @@ class Pht
         r.openSection(ckpt::tag::kPht);
         if (r.getU32() != table.size() || r.getU32() != tagBits)
             throw ckpt::CkptError("PHT geometry mismatch");
+        const std::uint8_t *p = r.take(table.size(), kEntryBytes);
         for (Entry &e : table) {
-            e.valid = r.getBool();
-            e.tag = static_cast<std::uint16_t>(r.getU32());
-            const std::uint8_t d = r.getU8();
+            e.valid = ckpt::loadLe<std::uint8_t>(p) != 0;
+            e.tag = static_cast<std::uint16_t>(ckpt::loadLe<std::uint32_t>(p));
+            const std::uint8_t d = ckpt::loadLe<std::uint8_t>(p);
             if (d > Bimodal2::kMax)
                 throw ckpt::CkptError("PHT direction state out of range");
             e.dir.set(d);
@@ -200,6 +202,9 @@ class Pht
         std::uint16_t tag = 0;
         Bimodal2 dir{};
     };
+
+    /** Snapshot bytes per entry: valid (u8), tag (u32), dir (u8). */
+    static constexpr std::size_t kEntryBytes = 1 + 4 + 1;
 
     std::uint16_t
     tagOf(Addr ia, std::uint64_t tag_hash) const

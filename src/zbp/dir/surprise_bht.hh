@@ -70,14 +70,13 @@ class SurpriseBht
     {
         w.beginSection(ckpt::tag::kSurpriseBht);
         w.putU32(static_cast<std::uint32_t>(bits.size()));
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            if (bits[i])
-                acc |= static_cast<std::uint8_t>(1u << (i & 7));
-            if ((i & 7) == 7 || i + 1 == bits.size()) {
-                w.putU8(acc);
-                acc = 0;
-            }
+        std::uint8_t *p = w.extend((bits.size() + 7) / 8);
+        for (std::size_t i = 0; i < bits.size(); i += 8) {
+            std::uint8_t acc = 0;
+            for (std::size_t b = i; b < i + 8 && b < bits.size(); ++b)
+                if (bits[b])
+                    acc |= static_cast<std::uint8_t>(1u << (b & 7));
+            *p++ = acc;
         }
         w.endSection();
     }
@@ -90,12 +89,9 @@ class SurpriseBht
         r.openSection(ckpt::tag::kSurpriseBht);
         if (r.getU32() != bits.size())
             throw ckpt::CkptError("surprise BHT size mismatch");
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            if ((i & 7) == 0)
-                acc = r.getU8();
-            bits[i] = (acc & (1u << (i & 7))) != 0;
-        }
+        const std::uint8_t *p = r.take((bits.size() + 7) / 8);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            bits[i] = (p[i >> 3] & (1u << (i & 7))) != 0;
         r.closeSection();
     }
 

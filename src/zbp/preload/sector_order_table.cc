@@ -227,22 +227,28 @@ SectorOrderTable::reset()
 namespace
 {
 
+/** Snapshot bytes of one pattern: sector bits (u32), quartile refs. */
+constexpr std::size_t kPatternBytes = 4 + kQuartiles;
+
+/** Snapshot bytes of one table entry: valid (u8), block (u64), pattern. */
+constexpr std::size_t kEntryBytes = 1 + 8 + kPatternBytes;
+
 void
-savePattern(ckpt::Writer &w, const BlockPattern &p)
+storePattern(std::uint8_t *&p, const BlockPattern &bp)
 {
-    w.putU32(p.sectorBits);
-    for (const std::uint8_t q : p.quartileRefs)
-        w.putU8(q);
+    ckpt::storeLe(p, bp.sectorBits);
+    for (const std::uint8_t q : bp.quartileRefs)
+        ckpt::storeLe(p, q);
 }
 
 BlockPattern
-loadPattern(ckpt::Reader &r)
+loadPattern(const std::uint8_t *&p)
 {
-    BlockPattern p;
-    p.sectorBits = r.getU32();
-    for (std::uint8_t &q : p.quartileRefs)
-        q = r.getU8();
-    return p;
+    BlockPattern bp;
+    bp.sectorBits = ckpt::loadLe<std::uint32_t>(p);
+    for (std::uint8_t &q : bp.quartileRefs)
+        q = ckpt::loadLe<std::uint8_t>(p);
+    return bp;
 }
 
 } // namespace
@@ -253,18 +259,21 @@ SectorOrderTable::saveState(ckpt::Writer &w) const
     w.beginSection(ckpt::tag::kSot);
     w.putU32(numSets);
     w.putU32(prm.ways);
+    std::uint8_t *p = w.extend(table.size() * kEntryBytes +
+                               lru.size() * prm.ways);
     for (const Entry &e : table) {
-        w.putBool(e.valid);
-        w.putU64(e.block);
-        savePattern(w, e.pattern);
+        ckpt::storeLe<std::uint8_t>(p, e.valid);
+        ckpt::storeLe<std::uint64_t>(p, e.block);
+        storePattern(p, e.pattern);
     }
     for (const LruState &s : lru)
         for (unsigned i = 0; i < prm.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(s.orderAt(i)));
+            ckpt::storeLe<std::uint8_t>(p, s.orderAt(i));
     w.putBool(tracking);
     w.putU64(curBlock);
     w.putU32(demandQuartile);
-    savePattern(w, working);
+    p = w.extend(kPatternBytes);
+    storePattern(p, working);
     w.putU64(nWriteback.value());
     w.putU64(nHits.value());
     w.putU64(nMisses.value());
@@ -277,36 +286,31 @@ SectorOrderTable::restoreState(ckpt::Reader &r)
     r.openSection(ckpt::tag::kSot);
     if (r.getU32() != numSets || r.getU32() != prm.ways)
         throw ckpt::CkptError("SOT geometry mismatch");
-    std::vector<Entry> fresh(table.size());
-    for (Entry &e : fresh) {
-        e.valid = r.getBool();
-        e.block = r.getU64();
-        e.pattern = loadPattern(r);
+    // Decoded straight into the live table; a CkptError part-way means
+    // the caller discards the model (ckpt.hh).
+    const std::uint8_t *p = r.take(table.size(), kEntryBytes);
+    for (Entry &e : table) {
+        e.valid = ckpt::loadLe<std::uint8_t>(p) != 0;
+        e.block = ckpt::loadLe<std::uint64_t>(p);
+        e.pattern = loadPattern(p);
     }
-    std::vector<LruState> lr(lru);
-    for (LruState &s : lr) {
-        std::uint8_t order[LruState::kMaxWays];
-        for (unsigned i = 0; i < prm.ways; ++i)
-            order[i] = r.getU8();
-        if (!s.setOrder(order, prm.ways))
+    p = r.take(lru.size(), prm.ways);
+    for (LruState &s : lru) {
+        if (!s.setOrder(p, prm.ways))
             throw ckpt::CkptError("SOT LRU state is not a permutation");
+        p += prm.ways;
     }
-    const bool trk = r.getBool();
-    const Addr cur = r.getU64();
-    const std::uint32_t dq = r.getU32();
-    if (dq >= kQuartiles)
+    tracking = r.getBool();
+    curBlock = r.getU64();
+    demandQuartile = r.getU32();
+    if (demandQuartile >= kQuartiles)
         throw ckpt::CkptError("SOT demand quartile out of range");
-    const BlockPattern wrk = loadPattern(r);
+    p = r.take(kPatternBytes);
+    working = loadPattern(p);
     const std::uint64_t wb = r.getU64();
     const std::uint64_t hits = r.getU64();
     const std::uint64_t misses = r.getU64();
     r.closeSection();
-    table = std::move(fresh);
-    lru = std::move(lr);
-    tracking = trk;
-    curBlock = cur;
-    demandQuartile = dq;
-    working = wrk;
     nWriteback.reset();
     nWriteback += wb;
     nHits.reset();

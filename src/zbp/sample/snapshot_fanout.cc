@@ -41,6 +41,10 @@ runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
     FanoutResult out;
     out.snapshots.resize(plan.size());
 
+    // One writer for every snapshot: clear() keeps its grown buffer, and
+    // capture() copies each image into an exact-size SnapshotBuffer, so
+    // the writer's slack never multiplies across the fan-out.
+    ckpt::Writer w;
     m.beginRun(t);
     for (std::size_t i = 0; i < plan.size(); ++i) {
         if (plan[i].snapshotAt == 0)
@@ -49,7 +53,7 @@ runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
             m.advance(plan[i].snapshotAt);
         else
             m.advanceFunctional(plan[i].snapshotAt);
-        ckpt::Writer w;
+        w.clear();
         m.saveState(w);
         w.finish();
         out.snapshots[i] = ckpt::SnapshotBuffer::capture(w);
