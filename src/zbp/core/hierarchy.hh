@@ -178,7 +178,7 @@ class BranchPredictorHierarchy
                         phtTable.tagWidth());
     }
 
-    void trainAfterResolve(btb::BtbEntry &entry, const Prediction *pred,
+    void trainAfterResolve(btb::BtbEntry &entry,
                            const dir::HistoryHashes &hashes,
                            trace::InstKind kind, bool taken, Addr target);
 

@@ -59,6 +59,13 @@ struct JobFailure
  * Runs fn(i) for i in [0, n) on a fixed-size worker pool.  Indices are
  * handed out through a shared atomic cursor, so workers stay busy even
  * when job durations are wildly uneven.
+ *
+ * Ordering guarantee: indices are claimed in increasing order, so index
+ * 0 is claimed before any other index, by a worker that then runs it.
+ * A job i > 0 may therefore block until job 0 makes progress (as
+ * sample::SampleRunner's intervals wait for the warm-up pass in job 0)
+ * without starving it, provided job 0 itself never waits on another
+ * job.  With one worker the jobs run inline in index order.
  */
 class ParallelExecutor
 {

@@ -347,13 +347,14 @@ runCoreCheckpointed(std::unique_ptr<cpu::CoreModel> &model,
     if (interval == 0) {
         model->advance(t.size());
     } else {
+        ckpt::Writer w; // reused: clear() keeps the grown buffer
         for (;;) {
             const std::size_t done = model->decodedInstructions();
             const std::size_t step = static_cast<std::size_t>(
                     std::min<std::uint64_t>(interval, t.size() - done));
             if (model->advance(done + step))
                 break;
-            ckpt::Writer w;
+            w.clear();
             model->saveState(w);
             w.finish();
             ckpt::saveCkptFile(ckpt_path, w);

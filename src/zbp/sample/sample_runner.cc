@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -139,27 +142,7 @@ SampleRunner::run(const std::string &config_name,
     if (tw != nullptr)
         lane = tw->newLane(obs::TraceWriter::kPidRunner, "sampled sim");
 
-    // Serial half: one front-to-back warm-up pass over the trace,
-    // snapshotting at every interval boundary.
     const trace::TraceIndex tidx(t);
-    FanoutResult fan;
-    {
-        const double ts = tw != nullptr ? tw->nowUs() : 0.0;
-        cpu::CoreModel warm(cfg);
-        warm.setTraceIndex(&tidx);
-        fan = runWarmupFanout(warm, t, plan, prm.mode);
-        if (tw != nullptr)
-            tw->span(obs::TraceWriter::kPidRunner, lane, "sample",
-                     "warm-up:" + std::string(to_string(prm.mode)), ts,
-                     tw->nowUs() - ts,
-                     {{"instructions",
-                       obs::jsonNum(std::uint64_t{fan.instructions})},
-                      {"snapshots",
-                       obs::jsonNum(std::uint64_t{plan.size()})}});
-    }
-
-    // Parallel half: every measurement interval is an independent
-    // detailed job (restore, re-warm in fast mode, measure a window).
     const std::string sink_path =
             sinkPathSet ? sinkPath : runner::JsonlSink::envPath();
     runner::JsonlSink sink(sink_path);
@@ -172,12 +155,66 @@ SampleRunner::run(const std::string &config_name,
                     : runner::loadResumeResults(resume_path);
 
     std::vector<cpu::SimResult> deltas(plan.size());
-    std::vector<bool> resumed(plan.size(), false);
+    // One byte per interval: workers set their own entries
+    // concurrently, which packed std::vector<bool> bits would race on.
+    std::vector<char> resumed(plan.size(), 0);
     std::vector<double> seconds(plan.size(), 0.0);
 
+    // Hand-off from the warm-up pass to the intervals: the pass moves
+    // snapshot k into slots[k] and wakes the waiters; interval k takes
+    // it by move.  A warm-up failure wakes every waiter instead.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<ckpt::SnapshotBuffer> slots(plan.size());
+    std::vector<bool> ready(plan.size(), false);
+    std::exception_ptr warmup_error;
+
+    // One batch: job 0 is the warm-up pass, job k+1 is interval k.  The
+    // executor claims index 0 first, so the pass always has a worker
+    // and an interval only ever waits on a pass that is running; with
+    // one worker the batch runs inline in index order, i.e. the whole
+    // pass and then every interval.
+    FanoutResult fan;
     const double iv_ts = tw != nullptr ? tw->nowUs() : 0.0;
     const runner::ParallelExecutor pool(nJobs);
-    const auto failures = pool.run(plan.size(), [&](std::size_t i) {
+    const auto failures = pool.run(plan.size() + 1, [&](std::size_t job) {
+        if (job == 0) {
+            const double ts = tw != nullptr ? tw->nowUs() : 0.0;
+            try {
+                cpu::CoreModel warm(cfg);
+                warm.setTraceIndex(&tidx);
+                fan = runWarmupFanout(
+                        warm, t, plan, prm.mode,
+                        [&](std::size_t k, ckpt::SnapshotBuffer &&s) {
+                            {
+                                const std::lock_guard<std::mutex> lock(mu);
+                                slots[k] = std::move(s);
+                                ready[k] = true;
+                            }
+                            cv.notify_all();
+                        });
+            } catch (...) {
+                {
+                    const std::lock_guard<std::mutex> lock(mu);
+                    warmup_error = std::current_exception();
+                }
+                cv.notify_all();
+                return;
+            }
+            if (tw != nullptr)
+                tw->span(obs::TraceWriter::kPidRunner, lane, "sample",
+                         "warm-up:" + std::string(to_string(prm.mode)), ts,
+                         tw->nowUs() - ts,
+                         {{"instructions",
+                           obs::jsonNum(std::uint64_t{fan.instructions})},
+                          {"snapshots",
+                           obs::jsonNum(std::uint64_t{plan.size()})}});
+            return;
+        }
+
+        // A detailed interval: restore, re-warm in fast mode, measure
+        // a window.
+        const std::size_t i = job - 1;
         const IntervalPlan &iv = plan[i];
         const std::string iv_name =
                 intervalConfigName(config_name, iv.index);
@@ -188,8 +225,18 @@ SampleRunner::run(const std::string &config_name,
                 resume.find(runner::resumeKey(iv_name, t.name(), seed));
         if (hit != resume.end()) {
             deltas[i] = hit->second.result;
-            resumed[i] = true;
+            resumed[i] = 1;
             return;
+        }
+
+        ckpt::SnapshotBuffer snap;
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            if (iv.snapshotAt > 0)
+                cv.wait(lock, [&] { return ready[i] || warmup_error; });
+            if (warmup_error)
+                return; // run() rethrows the warm-up's own error
+            snap = std::move(slots[i]);
         }
 
         const auto j0 = std::chrono::steady_clock::now();
@@ -197,9 +244,10 @@ SampleRunner::run(const std::string &config_name,
         m.setTraceIndex(&tidx);
         m.beginRun(t);
         if (iv.snapshotAt > 0) {
-            ckpt::Reader r = fan.snapshots[i].reader();
+            ckpt::Reader r = snap.reader();
             m.restoreState(r);
             r.finish();
+            snap = {}; // free the image before the long advance
         }
         m.advance(iv.measureBegin); // fast-mode detailed re-warm
         const cpu::SimResult start = m.interimResult();
@@ -211,12 +259,12 @@ SampleRunner::run(const std::string &config_name,
         deltas[i] = subtractResult(end, start);
         seconds[i] = secondsSince(j0);
 
-        runner::SimJob job(iv_name, cfg, &t, seed);
+        runner::SimJob sim_job(iv_name, cfg, &t, seed);
         runner::SimJobResult jr;
         jr.ok = true;
         jr.seconds = seconds[i];
         jr.result = deltas[i];
-        sink.write(runner::jobRecord(job, jr));
+        sink.write(runner::jobRecord(sim_job, jr));
     });
     if (tw != nullptr)
         tw->span(obs::TraceWriter::kPidRunner, lane, "sample",
@@ -224,11 +272,13 @@ SampleRunner::run(const std::string &config_name,
                  {{"intervals", obs::jsonNum(std::uint64_t{plan.size()})},
                   {"failures",
                    obs::jsonNum(std::uint64_t{failures.size()})}});
+    if (warmup_error)
+        std::rethrow_exception(warmup_error);
     if (!failures.empty()) {
         obs::obsFlush();
         throw std::runtime_error(
                 "sample: interval " +
-                std::to_string(plan[failures.front().index].index) +
+                std::to_string(plan[failures.front().index - 1].index) +
                 " failed: " + failures.front().message + " (" +
                 std::to_string(failures.size()) + " of " +
                 std::to_string(plan.size()) + " intervals failed)");

@@ -1,9 +1,16 @@
 /**
  * @file
  * Temporal-parallel sampled simulation: one (functional or detailed)
- * warm-up pass fans out in-memory restore points, then the measurement
+ * warm-up pass fans out in-memory restore points, the measurement
  * intervals run as independent detailed jobs across a worker pool and
  * their counter deltas are stitched into a whole-run aggregate.
+ *
+ * Schedule: the warm-up pass is job 0 of the same worker batch as the
+ * intervals and hands each snapshot over the moment it is captured, so
+ * interval k starts as soon as snapshot k exists while the pass walks
+ * on.  A run's wall time is about the TraceIndex build + the pass + the
+ * last interval.  With one worker the batch runs in index order: the
+ * whole pass, then every interval.
  *
  * Stitching contract: every SimResult counter is monotone over a run
  * and part of the saved machine state, so the fieldwise difference of
@@ -55,10 +62,13 @@ struct SampleReport
     std::size_t resumedIntervals = 0;
 
     std::size_t warmupInstructions = 0; ///< insts walked by the warm-up
+    /** Wall clock of the warm-up pass; the intervals overlap it. */
     double warmupSeconds = 0.0;
     double warmupInstsPerSec = 0.0;
-    double detailedSeconds = 0.0; ///< summed per-interval wall clock
-    double wallSeconds = 0.0;     ///< end-to-end wall clock of run()
+    /** Summed per-interval busy time, each from the end of its wait for
+     * a snapshot. */
+    double detailedSeconds = 0.0;
+    double wallSeconds = 0.0; ///< end-to-end wall clock of run()
 };
 
 /** Runs one configuration over one trace in sampled mode. */
@@ -80,10 +90,11 @@ class SampleRunner
 
     /**
      * Warm up, fan out, measure, stitch.  Throws std::invalid_argument
-     * on unusable parameters or an empty trace, std::runtime_error when
-     * any interval job fails (a stitch with holes is meaningless), and
-     * std::logic_error when an exact-mode stitch violates the run
-     * invariants.
+     * on unusable parameters or an empty trace, whatever the warm-up
+     * pass throws (rethrown unchanged once every worker has stopped),
+     * std::runtime_error when any interval job fails (a stitch with
+     * holes is meaningless), and std::logic_error when an exact-mode
+     * stitch violates the run invariants.
      */
     SampleReport run(const std::string &config_name,
                      const core::MachineParams &cfg,

@@ -34,12 +34,14 @@ planIntervals(std::size_t trace_len, const SampleParams &p)
 
 FanoutResult
 runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
-                const std::vector<IntervalPlan> &plan, SampleMode mode)
+                const std::vector<IntervalPlan> &plan, SampleMode mode,
+                const SnapshotSink &on_snapshot)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
     FanoutResult out;
-    out.snapshots.resize(plan.size());
+    if (!on_snapshot)
+        out.snapshots.resize(plan.size());
 
     // One writer for every snapshot: clear() keeps its grown buffer, and
     // capture() copies each image into an exact-size SnapshotBuffer, so
@@ -56,7 +58,10 @@ runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
         w.clear();
         m.saveState(w);
         w.finish();
-        out.snapshots[i] = ckpt::SnapshotBuffer::capture(w);
+        if (on_snapshot)
+            on_snapshot(i, ckpt::SnapshotBuffer::capture(w));
+        else
+            out.snapshots[i] = ckpt::SnapshotBuffer::capture(w);
     }
 
     out.instructions = m.decodedInstructions();

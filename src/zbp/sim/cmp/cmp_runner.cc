@@ -166,6 +166,7 @@ runCmpCheckpointed(std::unique_ptr<CmpModel> &model,
     if (interval == 0) {
         model->advance(model->maxInsts());
     } else {
+        ckpt::Writer w; // reused: clear() keeps the grown buffer
         for (;;) {
             const std::size_t done = model->decodedWindow();
             const std::size_t total = model->maxInsts();
@@ -177,7 +178,7 @@ runCmpCheckpointed(std::unique_ptr<CmpModel> &model,
                               interval, total - done));
             if (model->advance(done + step))
                 break;
-            ckpt::Writer w;
+            w.clear();
             model->saveState(w);
             w.finish();
             ckpt::saveCkptFile(ckpt_path, w);

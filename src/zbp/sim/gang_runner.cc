@@ -311,6 +311,7 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
             }
         }
         std::uint64_t next_ckpt_at = prev + ckpt_interval;
+        ckpt::Writer w; // reused: clear() keeps the grown buffer
 
         // Chunk-interleaved walk: every live member decodes the same
         // [prev, target) instruction window before the window moves.
@@ -376,7 +377,7 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
                         !results[ci][ti].resumed)
                         intact = false;
                 if (intact) {
-                    ckpt::Writer w;
+                    w.clear();
                     w.beginSection(ckpt::tag::kGang);
                     w.putU32(static_cast<std::uint32_t>(nc));
                     w.putU64(tgt);

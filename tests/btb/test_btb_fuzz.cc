@@ -132,8 +132,9 @@ TEST_P(BtbFuzz, AgreesWithOracle)
             const auto v_oracle = oracle.install(ia, tgt);
             ASSERT_EQ(v_dut.has_value(), v_oracle.has_value())
                     << "step " << step;
-            if (v_dut)
+            if (v_dut) {
                 ASSERT_EQ(v_dut->ia, *v_oracle) << "step " << step;
+            }
         } else if (op < 80) {
             const auto h = dut.lookup(ia);
             const auto o = oracle.lookup(ia);
@@ -150,8 +151,9 @@ TEST_P(BtbFuzz, AgreesWithOracle)
             dut.touch(ia);
             oracle.touch(ia);
         }
-        if (step % 512 == 0)
+        if (step % 512 == 0) {
             ASSERT_EQ(dut.validCount(), oracle.size()) << "step " << step;
+        }
     }
     EXPECT_EQ(dut.validCount(), oracle.size());
 }

@@ -70,8 +70,9 @@ TEST_P(PipelineFuzz, InvariantsHoldOverRandomContents)
             const auto it = branches.find(p.ia);
             ASSERT_NE(it, branches.end())
                     << "phantom prediction at " << std::hex << p.ia;
-            if (p.taken && !p.usedCtb)
+            if (p.taken && !p.usedCtb) {
                 ASSERT_EQ(p.target, it->second);
+            }
         }
         // Occasional restarts, as decode would do.
         if (rng.chance(0.01))

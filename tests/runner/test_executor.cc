@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the generic sharded executor: worker-count resolution from
- * ZBP_JOBS, completion of every index under parallel execution, and
- * per-job exception capture.
+ * ZBP_JOBS, completion of every index under parallel execution,
+ * index 0 claimed first, and per-job exception capture.
  */
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -75,6 +78,44 @@ TEST(ParallelExecutor, SingleWorkerRunsInline)
     ASSERT_EQ(order.size(), 10u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelExecutor, IndexZeroStartsBeforeJobsThatWaitOnIt)
+{
+    // Every job but 0 blocks until job 0 has started.  Index 0 is
+    // claimed before any other index, so the worker holding it is never
+    // one of the blocked ones and the batch completes for every pool
+    // size, even with far more jobs than workers.
+    for (const unsigned workers : {2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(workers);
+        for (int rep = 0; rep < 20; ++rep) {
+            constexpr std::size_t kN = 24;
+            std::mutex mu;
+            std::condition_variable cv;
+            bool zero_started = false;
+            std::atomic<int> timed_out{0};
+            std::atomic<std::size_t> started_before_zero{0};
+            ParallelExecutor exec(workers);
+            const auto failures = exec.run(kN, [&](std::size_t i) {
+                std::unique_lock<std::mutex> lock(mu);
+                if (i == 0) {
+                    zero_started = true;
+                    cv.notify_all();
+                    return;
+                }
+                if (!zero_started)
+                    started_before_zero.fetch_add(1);
+                if (!cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return zero_started; }))
+                    timed_out.fetch_add(1);
+            });
+            EXPECT_TRUE(failures.empty());
+            EXPECT_EQ(timed_out.load(), 0);
+            // Only jobs already claimed by the other workers can get in
+            // ahead of job 0; the rest of the batch is still queued.
+            EXPECT_LT(started_before_zero.load(), workers);
+        }
+    }
 }
 
 TEST(ParallelExecutor, CapturesExceptionsAndKeepsGoing)

@@ -5,17 +5,23 @@
  * fan-out snapshot, and the stitched counters are bit-identical to one
  * monolithic CoreModel::run — independent of worker count.  Fast mode
  * is pinned as an estimator: bounded coverage, a CPI estimate with an
- * error bar, and interval-granular resume through the standard
- * ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL contract.
+ * error bar, counters independent of worker count, and interval-
+ * granular resume through the standard ZBP_RESULTS_JSONL /
+ * ZBP_RESUME_JSONL contract.  A failing warm-up pass surfaces from
+ * run() unchanged, whatever the worker count.
  */
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,11 +205,6 @@ TEST(SampleRunnerTest, FastModeEstimatesWithBoundedCoverage)
     p.warmupInsts = 1'000;
     p.measureInsts = 1'000;
 
-    SampleRunner sr(p, 4);
-    sr.setSinkPath("");
-    sr.setResumePath("");
-    const SampleReport rep = sr.run("btb2", cfg, t);
-
     // Window boundaries shift by up to decodeWidth-1 instructions
     // (advance() overshoot), so compare against the plan with slack.
     const auto plan = planIntervals(t.size(), p);
@@ -211,23 +212,92 @@ TEST(SampleRunnerTest, FastModeEstimatesWithBoundedCoverage)
     for (const auto &iv : plan)
         planned += iv.measureEnd - iv.measureBegin;
 
-    EXPECT_FALSE(rep.exact);
-    EXPECT_EQ(rep.intervals, plan.size());
-    EXPECT_NEAR(static_cast<double>(rep.stitched.instructions),
-                static_cast<double>(planned),
-                3.0 * static_cast<double>(plan.size()));
-    EXPECT_NEAR(rep.coverage,
-                static_cast<double>(planned) /
-                        static_cast<double>(t.size()),
-                0.01);
-    EXPECT_GT(rep.estimatedCpi, 0.0);
-    EXPECT_GE(rep.cpiErrorBar, 0.0);
-    EXPECT_GT(rep.warmupInstsPerSec, 0.0);
-    // Sanity, not precision (the 2% acceptance bound is measured on
-    // the benchmark-scale traces): the estimate lands in the right
-    // ballpark of the true CPI.
-    EXPECT_GT(rep.estimatedCpi, 0.5 * mono.cpi);
-    EXPECT_LT(rep.estimatedCpi, 2.0 * mono.cpi);
+    // Intervals start while the warm-up pass is still running; which
+    // worker runs what, and when, must not reach the counters.
+    SampleReport first;
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE(jobs);
+        SampleRunner sr(p, jobs);
+        sr.setSinkPath("");
+        sr.setResumePath("");
+        const SampleReport rep = sr.run("btb2", cfg, t);
+
+        EXPECT_FALSE(rep.exact);
+        EXPECT_EQ(rep.intervals, plan.size());
+        EXPECT_NEAR(static_cast<double>(rep.stitched.instructions),
+                    static_cast<double>(planned),
+                    3.0 * static_cast<double>(plan.size()));
+        EXPECT_NEAR(rep.coverage,
+                    static_cast<double>(planned) /
+                            static_cast<double>(t.size()),
+                    0.01);
+        EXPECT_GT(rep.estimatedCpi, 0.0);
+        EXPECT_GE(rep.cpiErrorBar, 0.0);
+        EXPECT_GT(rep.warmupInstsPerSec, 0.0);
+        // Sanity, not precision (the 2% acceptance bound is measured on
+        // the benchmark-scale traces): the estimate lands in the right
+        // ballpark of the true CPI.
+        EXPECT_GT(rep.estimatedCpi, 0.5 * mono.cpi);
+        EXPECT_LT(rep.estimatedCpi, 2.0 * mono.cpi);
+
+        if (jobs == 1) {
+            first = rep;
+            continue;
+        }
+        expectSameCounters(first.stitched, rep.stitched);
+        EXPECT_EQ(first.cpiErrorBar, rep.cpiErrorBar);
+    }
+}
+
+TEST(SampleRunnerTest, WarmupFailureIsRethrownForEveryWorkerCount)
+{
+    // The functional warm-up refuses fault injection.  The runner must
+    // wake every interval waiting on a snapshot and rethrow the
+    // warm-up's own exception: same type, same message as a direct
+    // warm-up pass, for any worker count, without hanging.
+    const trace::Trace t = makeTrace(56, 20'000);
+    core::MachineParams cfg = sim::configBtb2();
+    cfg.faults.enabled = true;
+    SampleParams p;
+    p.mode = SampleMode::kFast;
+    p.intervalInsts = 2'000;
+    p.warmupInsts = 200;
+    p.measureInsts = 200;
+
+    std::string expected;
+    try {
+        cpu::CoreModel warm(cfg);
+        runWarmupFanout(warm, t, planIntervals(t.size(), p), p.mode);
+    } catch (const std::logic_error &e) {
+        expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty());
+
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE(jobs);
+        auto done = std::async(std::launch::async, [&] {
+            SampleRunner sr(p, jobs);
+            sr.setSinkPath("");
+            sr.setResumePath("");
+            sr.run("btb2", cfg, t);
+        });
+        if (done.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            // The future's destructor would wait on the hung run.
+            std::fprintf(stderr, "SampleRunner::run hung after a warm-up "
+                                 "failure with %u jobs\n",
+                         jobs);
+            std::_Exit(1);
+        }
+        try {
+            done.get();
+            ADD_FAILURE() << "run() returned despite the warm-up failing";
+        } catch (const std::exception &e) {
+            EXPECT_TRUE(typeid(e) == typeid(std::logic_error))
+                    << typeid(e).name();
+            EXPECT_EQ(expected, e.what());
+        }
+    }
 }
 
 TEST(SampleRunnerTest, IntervalRecordsFollowTheJsonlContract)
