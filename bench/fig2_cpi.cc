@@ -34,8 +34,8 @@ main()
                  "effectiveness%"});
 
     // Load the 13 traces sharded (cached when ZBP_TRACE_CACHE is set),
-    // then run all 39 simulations (13 traces x 3 configurations) —
-    // gang-fused per trace unless ZBP_FUSE=0.
+    // then run all 39 simulations (13 traces x 3 configurations) as
+    // one gang per trace.
     const auto &specs = workload::paperSuites();
     const auto traces = bench::suiteTraces(scale);
     const auto rows = sim::runFig2Rows(traces);

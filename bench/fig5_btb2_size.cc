@@ -31,8 +31,8 @@ main()
         {"96k (16k x 6)", 16384, 6, false},
     };
 
-    // All 5 sweep points (plus the baseline) run as one fused gang per
-    // trace; ZBP_FUSE=0 reverts to one batch per point.
+    // All 5 sweep points (plus the baseline) run as one gang per
+    // trace.
     std::vector<core::MachineParams> cfgs;
     for (const auto &p : points)
         cfgs.push_back(sim::configBtb2Sized(p.rows, p.ways));

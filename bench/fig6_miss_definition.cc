@@ -23,8 +23,7 @@ main()
                        "definition");
     t.setHeader({"definition", "avg improvement %", "hardware"});
 
-    // All 7 definitions (plus the baseline) as one fused gang per
-    // trace; ZBP_FUSE=0 reverts to one batch per definition.
+    // All 7 definitions (plus the baseline) as one gang per trace.
     const unsigned searchPoints[] = {2u, 3u, 4u, 5u, 6u, 8u};
     std::vector<core::MachineParams> cfgs;
     for (unsigned searches : searchPoints)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Simulator hot-path performance benchmarks: the allocation-free
- * structure primitives (BTB row search/read, first-level search with
- * candidate merge), end-to-end CoreModel::run throughput with the
+ * structure primitives (BTB row search/read/install, first-level
+ * search with candidate merge, SOT tracking and steering, PHT lookup),
+ * trace generation, end-to-end CoreModel::run throughput with the
  * event-skipping loop, with stats-text collection on and off, and the
  * checkpoint encoder's save + restore throughput.
  *
@@ -11,7 +12,6 @@
  * into individual layers when the headline moves.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -21,7 +21,9 @@
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/core/hierarchy.hh"
 #include "zbp/cpu/core_model.hh"
+#include "zbp/dir/pht.hh"
 #include "zbp/obs/interval_sampler.hh"
+#include "zbp/preload/sector_order_table.hh"
 #include "zbp/sample/snapshot_fanout.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
 #include "zbp/sim/configs.hh"
@@ -113,27 +115,80 @@ BM_FirstLevelSearchMerged(benchmark::State &state)
 BENCHMARK(BM_FirstLevelSearchMerged);
 
 void
-BM_BtbSearchSimd(benchmark::State &state)
+BM_Btb1Install(benchmark::State &state)
 {
-    // The dispatched row-match path (rowSig filter + way compare) over
-    // a populated table.  Run once as-built (AVX2/NEON when compiled
-    // in and supported) and once under ZBP_SIMD=0 to price the vector
-    // kernel against the scalar loop; the label records which path
-    // this process resolved to.
     btb::SetAssocBtb t("btb1", btb::btb1Config());
-    for (Addr ia = 0; ia < 4096 * 8; ia += 10)
-        t.install(btb::BtbEntry::freshTaken(ia, ia + 64));
     Addr a = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(t.searchFrom(a));
-        benchmark::DoNotOptimize(t.readRow(a + 32));
-        a = (a + 14) & 0xFFFF;
+        benchmark::DoNotOptimize(
+                t.install(btb::BtbEntry::freshTaken(a, a + 8)));
+        a += 30;
     }
-    state.SetLabel(btb::simd::activePath());
-    state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations()) * 2);
 }
-BENCHMARK(BM_BtbSearchSimd);
+BENCHMARK(BM_Btb1Install);
+
+void
+BM_SotInstructionCompleted(benchmark::State &state)
+{
+    preload::SectorOrderTable sot{preload::SotParams{}};
+    Addr a = 0;
+    for (auto _ : state) {
+        sot.instructionCompleted(a);
+        a += 97; // wanders across sectors and blocks
+    }
+}
+BENCHMARK(BM_SotInstructionCompleted);
+
+void
+BM_SotOrder(benchmark::State &state)
+{
+    preload::SectorOrderTable sot{preload::SotParams{}};
+    for (Addr a = 0; a < 1 << 20; a += 300)
+        sot.instructionCompleted(a);
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sot.order(a));
+        a = (a + 4096) & 0xFFFFF;
+    }
+}
+BENCHMARK(BM_SotOrder);
+
+void
+BM_PhtLookup(benchmark::State &state)
+{
+    dir::Pht pht;
+    dir::HistoryState h;
+    for (int i = 0; i < 4000; ++i) {
+        pht.update(Addr{0x1000} + i * 6, h, i % 2 != 0, true);
+        h.push(Addr{0x1000} + i * 6, i % 2 != 0);
+    }
+    Addr a = 0x1000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pht.lookup(a, h));
+        a += 6;
+    }
+}
+BENCHMARK(BM_PhtLookup);
+
+// --- workload generation --------------------------------------------
+
+void
+BM_TraceGeneration(benchmark::State &state)
+{
+    workload::BuildParams bp;
+    bp.numFunctions = 500;
+    const auto prog = workload::buildProgram(bp);
+    workload::GenParams gp;
+    gp.length = 100'000;
+    for (auto _ : state) {
+        gp.seed += 1;
+        benchmark::DoNotOptimize(
+                workload::generateTrace(prog, gp, "bm"));
+    }
+    state.SetItemsProcessed(
+            static_cast<std::int64_t>(state.iterations()) * 100'000);
+}
+BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
 // --- end-to-end simulation ------------------------------------------
 
@@ -302,57 +357,6 @@ BM_SweepFused3Configs(benchmark::State &state)
             state.iterations() * cfgs.size() * trace.size()));
 }
 BENCHMARK(BM_SweepFused3Configs)->Unit(benchmark::kMillisecond);
-
-void
-BM_GangMicroChunk(benchmark::State &state)
-{
-    // The fused sweep with the chunk walked in member-interleaved
-    // micro-chunks (arg = sub-window instructions; 0 = plain walk).
-    // Same work as BM_SweepFused3Configs, so the two are directly
-    // comparable and the arg sweep prices the interleave granularity.
-    const auto micro = static_cast<std::size_t>(state.range(0));
-    const auto cfgs = sweepConfigs();
-    const auto trace = benchTrace();
-    const trace::TraceIndex index(trace);
-    constexpr std::size_t kChunk = 65536;
-    for (auto _ : state) {
-        std::vector<std::unique_ptr<cpu::CoreModel>> models;
-        for (const auto &cfg : cfgs) {
-            models.push_back(std::make_unique<cpu::CoreModel>(cfg));
-            models.back()->setTraceIndex(&index);
-            models.back()->beginRun(trace);
-        }
-        std::size_t prev = 0;
-        for (std::size_t target = kChunk;; target += kChunk) {
-            bool all_done = true;
-            if (micro != 0) {
-                for (std::size_t sub = prev + micro;; sub += micro) {
-                    all_done = true;
-                    for (auto &m : models)
-                        all_done &= m->advance(std::min(sub, target));
-                    if (sub >= target || all_done)
-                        break;
-                }
-            } else {
-                for (auto &m : models)
-                    all_done &= m->advance(target);
-            }
-            if (all_done)
-                break;
-            prev = target;
-        }
-        for (auto &m : models)
-            benchmark::DoNotOptimize(m->finishRun());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-            state.iterations() * cfgs.size() * trace.size()));
-}
-BENCHMARK(BM_GangMicroChunk)
-        ->Arg(0)
-        ->Arg(1024)
-        ->Arg(4096)
-        ->Arg(16384)
-        ->Unit(benchmark::kMillisecond);
 
 // --- checkpoint encode/decode ---------------------------------------
 

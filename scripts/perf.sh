@@ -108,45 +108,17 @@ current = {
     "cycles_per_second": round(cycles / wall, 1),
 }
 
-# Fused-sweep A/B row: warm-cache fused path vs the legacy
-# job-per-(config,trace) path (ZBP_FUSE=0, no trace cache) at equal
-# job count.  DRAM-stream amplification is trace bytes streamed from
-# memory over unique trace bytes: the legacy path streams every trace
-# once per configuration, the gang path streams each trace once and
-# serves the other configurations' reads of the same 2 MiB chunk from
-# cache.
+# Fused-sweep row: the warm-cache gang path.  Every trace streams from
+# memory once per gang and its other configurations read the same
+# 2 MiB chunk from cache, so DRAM-stream amplification is 1.
 fused_wall, fused_recs = sweep(results, ZBP_TRACE_CACHE=cache_dir)
-legacy_wall, legacy_recs = sweep(results, ZBP_FUSE="0")
 
-trace_insts = {}
-for r in legacy_recs:
-    trace_insts[r["trace"]] = r["instructions"]
-unique_bytes = 32 * sum(trace_insts.values())
-legacy_bytes = 32 * sum(r["instructions"] for r in legacy_recs)
-
+trace_names = {r["trace"] for r in fused_recs}
 fused_sweep = {
     "wall_seconds": round(fused_wall, 3),
-    "traces_per_second": round(len(trace_insts) / fused_wall, 3),
+    "traces_per_second": round(len(trace_names) / fused_wall, 3),
     "dram_stream_amplification": 1.0,
-    "legacy_wall_seconds": round(legacy_wall, 3),
-    "legacy_dram_stream_amplification": round(
-        legacy_bytes / unique_bytes, 2),
     "jobs": len(fused_recs),
-    "speedup_vs_unfused": round(legacy_wall / fused_wall, 2),
-}
-
-# SIMD row: the same warm-cache fused sweep with the vector way-compare
-# kernels killed at runtime (ZBP_SIMD=0, scalar loop, same build).  The
-# scalar/vector ratio prices the data-parallel search path; on a
-# -DZBP_ENABLE_SIMD=OFF build both legs run scalar and the ratio sits
-# at ~1.0.
-scalar_wall, _ = sweep(results, ZBP_TRACE_CACHE=cache_dir,
-                       ZBP_SIMD="0")
-simd = {
-    "vector_wall_seconds": round(fused_wall, 3),
-    "scalar_wall_seconds": round(scalar_wall, 3),
-    "scalar_over_vector": round(scalar_wall / fused_wall, 2),
-    "fused_speedup_vs_unfused": fused_sweep["speedup_vs_unfused"],
 }
 
 # CMP row: the pinned 4-core / 4-bank point of the sharing sweep
@@ -236,7 +208,6 @@ doc = {
     "speedup_vs_baseline": round(
         baseline["wall_seconds"] / current["wall_seconds"], 2),
     "fused_sweep": fused_sweep,
-    "simd": simd,
     "cmp": cmp,
     "sampled": sampled,
 }
@@ -249,14 +220,8 @@ print(f"perf: wall {current['wall_seconds']}s, "
       f"{current['cycles_per_second']:.3g} simulated cycles/s")
 print(f"perf: {doc['speedup_vs_baseline']}x vs pre-optimization "
       f"baseline ({baseline['wall_seconds']}s)")
-print(f"perf: fused sweep {fused_sweep['wall_seconds']}s "
-      f"(warm cache) vs unfused {fused_sweep['legacy_wall_seconds']}s: "
-      f"{fused_sweep['speedup_vs_unfused']}x, DRAM-stream amplification "
-      f"{fused_sweep['dram_stream_amplification']} vs "
-      f"{fused_sweep['legacy_dram_stream_amplification']}")
-print(f"perf: simd {simd['vector_wall_seconds']}s vs scalar "
-      f"(ZBP_SIMD=0) {simd['scalar_wall_seconds']}s: "
-      f"{simd['scalar_over_vector']}x")
+print(f"perf: fused sweep {fused_sweep['wall_seconds']}s (warm cache), "
+      f"{fused_sweep['traces_per_second']} traces/s")
 print(f"perf: cmp 4-core/4-bank {cmp['wall_seconds']}s, "
       f"{cmp['cycles_per_second']:.3g} simulated cycles/s, conflict "
       f"fraction homog {cmp['conflict_fraction_homog']:.4f} / hetero "

@@ -75,8 +75,7 @@ SetAssocBtb::install(const BtbEntry &e, bool make_mru)
     const std::size_t base = slotBase(row);
 
     // Same-branch update in place (tag match + same row offset).
-    std::uint32_t m = simd::matchWays(&keys[base], searchKey(e.ia),
-                                      cfg.ways);
+    std::uint32_t m = matchWays(&keys[base], searchKey(e.ia), cfg.ways);
     while (m != 0) {
         const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
         m &= m - 1;

@@ -14,9 +14,9 @@
  * kMaxBtbWays lanes so a row's keys are exactly one 64-byte line), with
  * the instruction address, target and direction/gate planes held in
  * separate contiguous arrays.  A row search touches only the signature
- * and key planes — matchable by one vector compare (btb/simd.hh) — and
- * the wider planes are read per *hit*, not per way probed.  BtbEntry is
- * a materialized view assembled on demand.
+ * and key planes — one fixed-width compare over the padded lane group
+ * (matchWays) — and the wider planes are read per *hit*, not per way
+ * probed.  BtbEntry is a materialized view assembled on demand.
  *
  * The class exposes the LRU surgery the semi-exclusive hierarchy needs:
  * install into the LRU way, explicit demote-to-LRU (BTB2 hits), and
@@ -30,10 +30,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "zbp/btb/btb_entry.hh"
-#include "zbp/btb/simd.hh"
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/fault/fault_injector.hh"
@@ -49,6 +49,24 @@ namespace zbp::btb
  * never exceeds that).  Constructor-enforced: a config with more ways
  * is rejected with std::invalid_argument. */
 constexpr std::uint32_t kMaxBtbWays = 8;
+
+/**
+ * Per-way match mask over one padded key row: bit w set iff lane w of
+ * @p keys equals @p key, for w < @p ways.  All kMaxBtbWays lanes are
+ * compared in one branch-free expression (expanded at compile time, so
+ * no loop and no variable shifts); lanes >= ways are padding that hold
+ * 0 and a search key always carries the valid bit, so the final clip
+ * to @p ways only guards the contract.
+ */
+inline std::uint32_t
+matchWays(const std::uint64_t *keys, std::uint64_t key, std::uint32_t ways)
+{
+    const auto lanes = [&]<std::size_t... W>(std::index_sequence<W...>) {
+        return ((static_cast<std::uint32_t>(keys[W] == key) << W) | ...);
+    };
+    return lanes(std::make_index_sequence<kMaxBtbWays>{}) &
+           static_cast<std::uint32_t>(maskBits(ways));
+}
 
 /** Geometry of one BTB level. */
 struct BtbConfig
@@ -108,7 +126,7 @@ struct BtbHit
  */
 using BtbHitList = InlineVec<BtbHit, kMaxBtbWays>;
 
-/** Generic tagged set-associative BTB (SoA planes, vector search). */
+/** Generic tagged set-associative BTB (SoA planes, row-wide search). */
 class SetAssocBtb
 {
   public:
@@ -168,19 +186,16 @@ class SetAssocBtb
     /**
      * The shared row prefilter + way compare: per-way bitmask of valid,
      * tag-matching lanes of @p row for a lookup of @p ia.  One inlined
-     * helper feeds searchFrom, readRow, lookup and install so the SIMD
-     * and scalar paths (btb/simd.hh) are exercised identically
-     * everywhere: the rowSig test rejects most foreign rows on one
-     * 64-bit load, and the key compare runs data-parallel across the
-     * padded lane group.
+     * helper feeds searchFrom, readRow and lookup: the rowSig test
+     * rejects most foreign rows on one 64-bit load, and matchWays
+     * compares the padded lane group in one fixed-width pass.
      */
     std::uint32_t
     rowMatchMask(std::uint32_t row, Addr ia) const
     {
         if ((rowSig[row] & tagSig(ia)) == 0)
             return 0;
-        return simd::matchWays(&keys[slotBase(row)], searchKey(ia),
-                               cfg.ways);
+        return matchWays(&keys[slotBase(row)], searchKey(ia), cfg.ways);
     }
 
     /** Can the row of @p ia possibly hold a tag match?  The bare rowSig
@@ -204,8 +219,8 @@ class SetAssocBtb
     prefetchProbe(Addr ia) const
     {
         const std::uint32_t row = rowOf(ia);
-        simd::prefetchRead(&rowSig[row]);
-        simd::prefetchRead(&keys[slotBase(row)]);
+        prefetchRead(&rowSig[row]);
+        prefetchRead(&keys[slotBase(row)]);
     }
 
     /**
@@ -360,7 +375,8 @@ class SetAssocBtb
     std::uint64_t validCount() const;
 
     /** Serialize every plane + LRU + counters into one checkpoint
-     * section (explicit-width fields; SIMD/scalar-build independent). */
+     * section (explicit-width fields, independent of the padded
+     * in-memory layout). */
     void saveState(ckpt::Writer &w) const;
 
     /** Overwrite from a checkpoint section; throws ckpt::CkptError on

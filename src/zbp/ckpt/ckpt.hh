@@ -7,8 +7,8 @@
  * caller falls back to a full re-run, never to wrong counters.
  *
  * Format (all integers little-endian, explicit widths — no raw struct
- * dumps, so snapshots are layout-independent and a SIMD build restores
- * a scalar build's file and vice versa):
+ * dumps, so snapshots are independent of in-memory padding and of the
+ * compiler's struct layout):
  *
  *   file   := "ZBPC" u32(formatVersion) section* endSection
  *   section:= u32(tag) u64(payloadLen) payload u32(crc32(payload))

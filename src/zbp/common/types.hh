@@ -1,6 +1,7 @@
 /**
  * @file
- * Fundamental scalar types shared by every zbp module.
+ * Fundamental scalar types shared by every zbp module, plus the
+ * portable cache-prefetch hint the table structures use.
  *
  * The zEC12 is a big-endian 64-bit machine; the paper numbers address
  * bits MSB-0 (bit 0 is the most significant, bit 63 the least).  All
@@ -33,6 +34,17 @@ inline constexpr Addr kNoAddr = ~Addr{0};
 
 /** Instruction counter type. */
 using InstCount = std::uint64_t;
+
+/** Portable read-prefetch hint (no-op where unsupported). */
+inline void
+prefetchRead(const void *p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 3);
+#else
+    (void)p;
+#endif
+}
 
 } // namespace zbp
 

@@ -16,7 +16,6 @@
 #include <optional>
 #include <vector>
 
-#include "zbp/btb/simd.hh"
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/common/types.hh"
@@ -58,7 +57,7 @@ class Ctb
     void
     prefetchHashed(std::uint64_t index) const
     {
-        btb::simd::prefetchRead(&table[index]);
+        prefetchRead(&table[index]);
     }
 
     /** lookup() with the history pre-folded. */

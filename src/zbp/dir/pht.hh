@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "zbp/btb/simd.hh"
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/dir/history.hh"
@@ -72,7 +71,7 @@ class Pht
     void
     prefetchHashed(std::uint64_t index) const
     {
-        btb::simd::prefetchRead(&table[index]);
+        prefetchRead(&table[index]);
     }
 
     /** lookup() with the history pre-folded (hot path: the search

@@ -65,23 +65,6 @@ constexpr Field kFields[] = {
     {"faultsInjected", &cpu::SimResult::faultsInjected},
 };
 
-double
-timeoutFromEnv()
-{
-    const char *s = std::getenv("ZBP_JOB_TIMEOUT");
-    if (s == nullptr || *s == '\0')
-        return 0.0;
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || !(v >= 0.0)) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_JOB_TIMEOUT '", s, "'");
-        return 0.0;
-    }
-    return v;
-}
-
 unsigned
 retriesFromEnv()
 {
@@ -98,113 +81,6 @@ retriesFromEnv()
     }
     return static_cast<unsigned>(v);
 }
-
-/**
- * One shared deadline watcher for all workers: each attempt arms an
- * entry (deadline + cancellation flag), the watcher thread scans every
- * few milliseconds and sets the flags of overdue entries, and the
- * model's run loop turns a set flag into SimCancelled.  The thread
- * only exists when a timeout is configured.
- */
-class TimeoutWatchdog
-{
-  public:
-    explicit TimeoutWatchdog(double seconds) : limit(seconds)
-    {
-        if (limit > 0.0)
-            th = std::thread([this] { loop(); });
-    }
-
-    ~TimeoutWatchdog()
-    {
-        if (th.joinable()) {
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                stop = true;
-            }
-            cv.notify_all();
-            th.join();
-        }
-    }
-
-    bool enabled() const { return limit > 0.0; }
-    double seconds() const { return limit; }
-
-    /** RAII per-attempt registration; no-op when disabled. */
-    class Scope
-    {
-      public:
-        Scope(TimeoutWatchdog &w_, std::atomic<bool> &flag) : w(w_)
-        {
-            if (w.enabled()) {
-                id = w.arm(flag);
-                armed = true;
-            }
-        }
-        ~Scope()
-        {
-            if (armed)
-                w.disarm(id);
-        }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        TimeoutWatchdog &w;
-        std::size_t id = 0;
-        bool armed = false;
-    };
-
-  private:
-    struct Entry
-    {
-        std::chrono::steady_clock::time_point deadline;
-        std::atomic<bool> *flag;
-        bool active;
-    };
-
-    std::size_t
-    arm(std::atomic<bool> &flag)
-    {
-        const auto deadline = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(limit));
-        std::lock_guard<std::mutex> lk(mu);
-        entries.push_back({deadline, &flag, true});
-        return entries.size() - 1;
-    }
-
-    void
-    disarm(std::size_t id)
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        entries[id].active = false;
-    }
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        while (!stop) {
-            cv.wait_for(lk, std::chrono::milliseconds(5));
-            const auto now = std::chrono::steady_clock::now();
-            for (auto &e : entries) {
-                if (e.active && now >= e.deadline) {
-                    e.flag->store(true, std::memory_order_relaxed);
-                    e.active = false;
-                }
-            }
-        }
-    }
-
-    double limit;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Entry> entries; ///< grows by one per attempt; bounded
-    bool stop = false;
-    std::thread th;
-};
 
 // ---- minimal JSONL field extraction (for resume) --------------------
 //
@@ -386,6 +262,84 @@ resumePathFromEnv()
     return s != nullptr ? std::string(s) : std::string();
 }
 
+double
+jobTimeoutFromEnv()
+{
+    const char *s = std::getenv("ZBP_JOB_TIMEOUT");
+    if (s == nullptr || *s == '\0')
+        return 0.0;
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !(v >= 0.0)) {
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            warn("ignoring bad ZBP_JOB_TIMEOUT '", s, "'");
+        return 0.0;
+    }
+    return v;
+}
+
+TimeoutWatchdog::TimeoutWatchdog(double seconds) : limit(seconds)
+{
+    if (limit > 0.0)
+        th = std::thread([this] { loop(); });
+}
+
+TimeoutWatchdog::~TimeoutWatchdog()
+{
+    if (th.joinable()) {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            stop = true;
+        }
+        cv.notify_all();
+        th.join();
+    }
+}
+
+std::string
+TimeoutWatchdog::timedOut(const std::exception &cancelled) const
+{
+    return "timed out after " + std::to_string(limit) + "s: " +
+           cancelled.what();
+}
+
+std::size_t
+TimeoutWatchdog::arm(std::atomic<bool> &flag, double budget)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(budget));
+    std::lock_guard<std::mutex> lk(mu);
+    std::size_t id = 0;
+    while (id < entries.size() && entries[id].inUse)
+        ++id;
+    if (id == entries.size())
+        entries.emplace_back();
+    entries[id] = {deadline, &flag, true};
+    return id;
+}
+
+void
+TimeoutWatchdog::disarm(std::size_t id)
+{
+    std::lock_guard<std::mutex> lk(mu);
+    entries[id].inUse = false;
+}
+
+void
+TimeoutWatchdog::loop()
+{
+    std::unique_lock<std::mutex> lk(mu);
+    while (!cv.wait_for(lk, std::chrono::milliseconds(5),
+                        [this] { return stop; })) {
+        const auto now = std::chrono::steady_clock::now();
+        for (const auto &e : entries)
+            if (e.inUse && now >= e.deadline)
+                e.flag->store(true, std::memory_order_relaxed);
+    }
+}
+
 std::string
 resumeKey(const std::string &config, const std::string &trace,
           std::uint64_t seed)
@@ -559,7 +513,8 @@ JobRunner::run(const std::vector<SimJob> &jobs)
     if (!rpath.empty())
         prior = loadResumeResults(rpath);
 
-    const double timeout = jobTimeoutSet ? jobTimeout : timeoutFromEnv();
+    const double timeout =
+            jobTimeoutSet ? jobTimeout : jobTimeoutFromEnv();
     const unsigned max_attempts =
             1 + (retriesSet ? retries : retriesFromEnv());
 
@@ -678,8 +633,7 @@ JobRunner::run(const std::vector<SimJob> &jobs)
                 // Over the wall-clock limit: a retry would hit it
                 // again, so fail the job immediately.
                 out.ok = false;
-                out.error = "timed out after " +
-                        std::to_string(dog.seconds()) + "s: " + e.what();
+                out.error = dog.timedOut(e);
                 break;
             } catch (const RetryableError &e) {
                 out.ok = false;

@@ -16,8 +16,14 @@
 #ifndef ZBP_RUNNER_JOB_RUNNER_HH
 #define ZBP_RUNNER_JOB_RUNNER_HH
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -180,6 +186,86 @@ loadResumeResults(const std::string &path);
 
 /** The ZBP_RESUME_JSONL path, or empty when unset. */
 std::string resumePathFromEnv();
+
+// ---- wall-clock timeouts --------------------------------------------
+//
+// Shared between JobRunner (one budget per attempt) and sim::GangRunner
+// (one budget per (config, trace) cell, spent across its chunks) so
+// both cancel the same way and fail with the same message.
+
+/** The ZBP_JOB_TIMEOUT limit in seconds; 0 (off) when unset or bad. */
+double jobTimeoutFromEnv();
+
+/**
+ * One shared deadline watcher for all workers: each run slice arms an
+ * entry (deadline + cancellation flag), the watcher thread scans every
+ * few milliseconds and sets the flags of overdue entries, and the
+ * model's run loop turns a set flag into cpu::SimCancelled.  The thread
+ * only exists when a timeout is configured.
+ */
+class TimeoutWatchdog
+{
+  public:
+    /** @p seconds <= 0 disables: no thread, and every Scope is a no-op. */
+    explicit TimeoutWatchdog(double seconds);
+    ~TimeoutWatchdog();
+    TimeoutWatchdog(const TimeoutWatchdog &) = delete;
+    TimeoutWatchdog &operator=(const TimeoutWatchdog &) = delete;
+
+    bool enabled() const { return limit > 0.0; }
+    double seconds() const { return limit; }
+
+    /** The error of a run this watchdog cancelled ("timed out after"). */
+    std::string timedOut(const std::exception &cancelled) const;
+
+    /** RAII registration of one run slice: @p flag is set once the
+     * slice has run for the limit minus @p spent, the budget earlier
+     * slices of the same run already used.  No-op when disabled. */
+    class Scope
+    {
+      public:
+        Scope(TimeoutWatchdog &w_, std::atomic<bool> &flag,
+              double spent = 0.0)
+            : w(w_)
+        {
+            if (w.enabled()) {
+                id = w.arm(flag, w.limit - spent);
+                armed = true;
+            }
+        }
+        ~Scope()
+        {
+            if (armed)
+                w.disarm(id);
+        }
+        Scope(const Scope &) = delete;
+        Scope &operator=(const Scope &) = delete;
+
+      private:
+        TimeoutWatchdog &w;
+        std::size_t id = 0;
+        bool armed = false;
+    };
+
+  private:
+    struct Entry
+    {
+        std::chrono::steady_clock::time_point deadline;
+        std::atomic<bool> *flag;
+        bool inUse; ///< owned by a live Scope; free slots are reused
+    };
+
+    std::size_t arm(std::atomic<bool> &flag, double budget);
+    void disarm(std::size_t id);
+    void loop();
+
+    double limit;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<Entry> entries; ///< at most one per concurrent Scope
+    bool stop = false;
+    std::thread th;
+};
 
 } // namespace zbp::runner
 

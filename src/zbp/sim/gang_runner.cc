@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <unordered_map>
 
@@ -21,6 +20,10 @@ namespace zbp::sim
 namespace
 {
 
+/** Instructions per gang chunk: large enough that per-chunk member-
+ * switch overhead (each model's BTB/predictor arrays re-warming the
+ * cache) vanishes, small enough that a chunk of trace plus its sidecar
+ * slices stays LLC-resident for the gang. */
 constexpr std::size_t kDefaultChunk = 262144;
 
 /** One config's in-flight state while its gang walks a trace. */
@@ -28,7 +31,8 @@ struct GangMember
 {
     cpu::CoreModel *model = nullptr; ///< null = resumed or failed
     bool done = false;
-    double seconds = 0.0; ///< wall-clock accumulated in this member
+    double seconds = 0.0; ///< busy time accumulated in this member
+    std::atomic<bool> cancelled{false}; ///< set by the timeout watchdog
 };
 
 /** Per-worker-thread lane on the orchestration track. */
@@ -43,43 +47,9 @@ gangLane(obs::TraceWriter *tw)
 
 } // namespace
 
-std::size_t
-gangChunkFromEnv()
-{
-    const char *s = std::getenv("ZBP_GANG_CHUNK");
-    if (s == nullptr || *s == '\0')
-        return kDefaultChunk;
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_GANG_CHUNK '", s, "'");
-        return kDefaultChunk;
-    }
-    return static_cast<std::size_t>(v);
-}
-
-std::size_t
-gangMicroChunkFromEnv()
-{
-    const char *s = std::getenv("ZBP_GANG_MICROCHUNK");
-    if (s == nullptr || *s == '\0')
-        return 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_GANG_MICROCHUNK '", s, "'");
-        return 0;
-    }
-    return static_cast<std::size_t>(v);
-}
-
 GangRunner::GangRunner(std::vector<GangConfig> configs_, unsigned jobs)
     : configs(std::move(configs_)), nJobs(runner::resolveJobs(jobs)),
-      chunk(gangChunkFromEnv()), microChunk(gangMicroChunkFromEnv())
+      chunk(kDefaultChunk)
 {
     ZBP_ASSERT(!configs.empty(), "a gang needs at least one config");
 }
@@ -92,9 +62,10 @@ GangRunner::setChunk(std::size_t c)
 }
 
 void
-GangRunner::setMicroChunk(std::size_t m)
+GangRunner::setJobTimeout(double seconds)
 {
-    microChunk = m;
+    jobTimeout = seconds;
+    jobTimeoutSet = true;
 }
 
 void
@@ -155,6 +126,10 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
         key += trace_name;
         return key;
     };
+    // One watchdog for every gang; a member arms it per chunk with its
+    // unspent budget, so only its own busy time counts.
+    runner::TimeoutWatchdog dog(
+            jobTimeoutSet ? jobTimeout : runner::jobTimeoutFromEnv());
     const auto submit_at = SteadyClock::now();
     std::atomic<std::uint64_t> nStarted{0};
 
@@ -221,6 +196,8 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
                 models[ci]->attachObs(iw, obs_interval, configs[ci].name);
             if (tw != nullptr)
                 models[ci]->attachTracer(tw);
+            if (dog.enabled())
+                models[ci]->setCancelFlag(&members[ci].cancelled);
             models[ci]->beginRun(t);
             members[ci].model = models[ci].get();
             members[ci].done = false;
@@ -314,50 +291,31 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
         ckpt::Writer w; // reused: clear() keeps the grown buffer
 
         // Chunk-interleaved walk: every live member decodes the same
-        // [prev, target) instruction window before the window moves.
-        // With micro-chunking on, the window itself is walked in
-        // member-interleaved sub-windows so the members revisit a
-        // still-cache-hot trace slice instead of streaming the whole
-        // chunk alone; advance() cuts only at decode boundaries, so
-        // results are bit-identical either way.
-        const auto stepTo = [&](std::size_t upto) {
+        // [prev, tgt) instruction window before the window moves.
+        for (;;) {
+            const std::size_t tgt = std::min(prev + chunk, n);
+            const double chunk_ts = tw != nullptr ? tw->nowUs() : 0.0;
+            std::uint64_t live = 0;
+            bool any_live = false;
             for (std::size_t ci = 0; ci < nc; ++ci) {
                 GangMember &m = members[ci];
                 if (m.model == nullptr || m.done)
                     continue;
+                ++live;
                 const auto t0 = SteadyClock::now();
                 try {
-                    m.done = m.model->advance(upto);
+                    const runner::TimeoutWatchdog::Scope scope(
+                            dog, m.cancelled, m.seconds);
+                    m.done = m.model->advance(tgt);
+                } catch (const cpu::SimCancelled &e) {
+                    fail(ci, dog.timedOut(e));
                 } catch (const std::exception &e) {
                     fail(ci, e.what());
                 }
                 m.seconds += std::chrono::duration<double>(
                         SteadyClock::now() - t0).count();
+                any_live = any_live || (m.model != nullptr && !m.done);
             }
-        };
-        for (;;) {
-            const std::size_t tgt = std::min(prev + chunk, n);
-            std::uint64_t live = 0;
-            for (std::size_t ci = 0; ci < nc; ++ci)
-                if (members[ci].model != nullptr && !members[ci].done)
-                    ++live;
-            const double chunk_ts = tw != nullptr ? tw->nowUs() : 0.0;
-            if (microChunk != 0 && live > 1 &&
-                prev + microChunk < tgt) {
-                for (std::size_t sub = prev + microChunk;;
-                     sub += microChunk) {
-                    const std::size_t s = std::min(sub, tgt);
-                    stepTo(s);
-                    if (s == tgt)
-                        break;
-                }
-            } else {
-                stepTo(tgt);
-            }
-            bool any_live = false;
-            for (std::size_t ci = 0; ci < nc; ++ci)
-                if (members[ci].model != nullptr && !members[ci].done)
-                    any_live = true;
             if (tw != nullptr && live > 0)
                 tw->span(obs::TraceWriter::kPidRunner, lane, "gang",
                          "chunk", chunk_ts, tw->nowUs() - chunk_ts,
@@ -423,6 +381,8 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
             out.telemetry.queueDepth = queue_depth;
             out.telemetry.runSeconds = m.seconds
                     - out.telemetry.loadSeconds;
+            if (dog.enabled())
+                out.telemetry.timeoutMargin = dog.seconds() - m.seconds;
             runner::SimJob job(configs[ci].name, configs[ci].cfg, &t,
                                seeds[ci]);
             sink.write(runner::jobRecord(job, out));

@@ -3,11 +3,12 @@
  * Gang-chunked sweep execution: N machine configurations simulated over
  * ONE trace in chunk-interleaved order.
  *
- * The job-per-(config, trace) runner streams every trace through memory
- * once *per configuration*: a 3-config sweep over a 100 MB trace set
- * reads 300 MB of trace data, and on a machine whose LLC cannot hold a
- * trace, each pass starts cold.  The gang runner instead walks the
- * sweep trace-major: all configurations of a gang advance over the same
+ * Running each (config, trace) as its own job would stream every trace
+ * through memory once *per configuration*: a 3-config sweep over a
+ * 100 MB trace set would read 300 MB of trace data, each pass starting
+ * cold on a machine whose LLC cannot hold a trace.  The gang runner,
+ * the one sweep path of the simulator, instead walks the sweep
+ * trace-major: all configurations of a gang advance over the same
  * instruction window ([0, C), then [C, 2C), ...) before the window
  * moves, so a chunk of trace (and its TraceIndex sidecar) is pulled
  * into cache once and consumed by every model while hot.  DRAM-stream
@@ -19,12 +20,12 @@
  * serial runs — the golden-counter tests and the gang-runner tests pin
  * this, across chunk sizes.
  *
- * The runner honours the same ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL
- * contract as runner::JobRunner (same record shape, same resume
- * identity), so sweeps can mix the two paths and resume across them.
- * Per-job wall-clock timeouts (ZBP_JOB_TIMEOUT) are not supported on
- * the gang path: configs of a gang advance in lockstep, so one config's
- * wall-clock is not separable for cancellation.
+ * The runner honours the same ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL /
+ * ZBP_JOB_TIMEOUT contract as runner::JobRunner (same record shape,
+ * same resume identity, same "timed out" failure), so a sweep resumes
+ * from either runner's records.  The timeout budget is per
+ * (config, trace) cell and counts only that member's own busy time, so
+ * one slow member fails alone while the rest of its gang keeps running.
  */
 
 #ifndef ZBP_SIM_GANG_RUNNER_HH
@@ -49,19 +50,6 @@ struct GangConfig
     core::MachineParams cfg;
 };
 
-/** ZBP_GANG_CHUNK if set and valid (>= 1), else 262144 — large enough
- * that per-chunk member-switch overhead (each model's BTB/predictor
- * arrays re-warming the cache) vanishes, small enough that a chunk of
- * trace plus its sidecar slices stays LLC-resident for the gang. */
-std::size_t gangChunkFromEnv();
-
-/** ZBP_GANG_MICROCHUNK if set and valid (>= 1), else 0 (off).  When on,
- * each gang chunk is walked in member-interleaved sub-windows of this
- * many instructions, so the members' predictor planes take turns over a
- * trace slice that is still L1/L2-resident instead of each member
- * streaming the full chunk alone. */
-std::size_t gangMicroChunkFromEnv();
-
 class GangRunner
 {
   public:
@@ -72,13 +60,19 @@ class GangRunner
 
     unsigned jobs() const { return nJobs; }
 
-    /** Decode-chunk size override (>= 1); default gangChunkFromEnv(). */
+    /** Decode-chunk size override (>= 1; default 262144).  Results are
+     * bit-identical for any value — advance() cuts only at decode
+     * boundaries. */
     void setChunk(std::size_t chunk);
 
-    /** Member-interleaved sub-window size (0 = off); default
-     * gangMicroChunkFromEnv().  Results are bit-identical for any
-     * value — advance() cuts only at decode boundaries. */
-    void setMicroChunk(std::size_t micro_chunk);
+    /**
+     * Per-(config, trace) wall-clock budget in seconds; overrides the
+     * ZBP_JOB_TIMEOUT default.  <= 0 disables (no watchdog thread, no
+     * cancel flag on the models).  A member over budget is cancelled
+     * cooperatively and fails with runner::JobRunner's "timed out"
+     * error; the rest of its gang keeps running.
+     */
+    void setJobTimeout(double seconds);
 
     /** Per-completion callback (one completion per (config, trace)). */
     void setProgress(runner::ProgressMeter::Callback cb);
@@ -105,7 +99,8 @@ class GangRunner
     std::vector<GangConfig> configs;
     unsigned nJobs;
     std::size_t chunk;
-    std::size_t microChunk;
+    double jobTimeout = 0.0;
+    bool jobTimeoutSet = false;
     runner::ProgressMeter::Callback progress;
     std::string sinkPath;
     bool sinkPathSet = false;

@@ -1,11 +1,7 @@
 #include "zbp/sim/simulator.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "zbp/common/log.hh"
 #include "zbp/runner/executor.hh"
-#include "zbp/runner/job_runner.hh"
 #include "zbp/sim/gang_runner.hh"
 
 namespace zbp::sim
@@ -21,27 +17,6 @@ adaptProgress(const std::function<void(const std::string &)> &cb)
     if (!cb)
         return {};
     return [cb](const runner::ProgressMeter::Event &e) { cb(e.label); };
-}
-
-/** Unpack a batch, warning about (and zero-filling) failed jobs. */
-std::vector<cpu::SimResult>
-unpack(const std::vector<runner::SimJob> &jobs,
-       std::vector<runner::SimJobResult> &&raw)
-{
-    std::vector<cpu::SimResult> out;
-    out.reserve(raw.size());
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (!raw[i].ok) {
-            warn("simulation '", jobs[i].configName, "' on '",
-                 jobs[i].trace->name(), "' failed: ", raw[i].error);
-            cpu::SimResult empty;
-            empty.traceName = jobs[i].trace->name();
-            out.push_back(std::move(empty));
-        } else {
-            out.push_back(std::move(raw[i].result));
-        }
-    }
-    return out;
 }
 
 /** Unpack one gang config's per-trace results, warning about (and
@@ -68,13 +43,6 @@ unpackGang(const std::string &cfg_name,
 }
 
 } // namespace
-
-bool
-fuseFromEnv()
-{
-    const char *s = std::getenv("ZBP_FUSE");
-    return s == nullptr || std::strcmp(s, "0") != 0;
-}
 
 double
 Fig2Row::btb2Improvement() const
@@ -132,48 +100,24 @@ runFig2Rows(const std::vector<trace::TraceHandle> &traces, unsigned jobs)
     const std::size_t n = traces.size();
     std::vector<Fig2Row> rows(n);
 
-    if (fuseFromEnv()) {
-        // Fused path: the 3 configs run as one gang per trace, chunk-
-        // interleaved over shared trace bytes (bit-identical to the
-        // legacy path below — the golden-counter tests pin it).
-        std::vector<GangConfig> gang;
-        for (const auto &c : cfgs)
-            gang.push_back({c.name, c.params});
-        GangRunner gr(std::move(gang), jobs);
-        gr.setProgress(runner::consoleProgress());
-        auto res = gr.run(traces);
-        std::vector<std::vector<cpu::SimResult>> per_cfg;
-        for (std::size_t ci = 0; ci < 3; ++ci)
-            per_cfg.push_back(unpackGang(cfgs[ci].name, traces,
-                                         std::move(res[ci])));
-        for (std::size_t i = 0; i < n; ++i) {
-            rows[i].trace = traces[i]->name();
-            rows[i].base = std::move(per_cfg[0][i]);
-            rows[i].withBtb2 = std::move(per_cfg[1][i]);
-            rows[i].largeBtb1 = std::move(per_cfg[2][i]);
-        }
-        return rows;
-    }
-
-    // Legacy path (ZBP_FUSE=0): 3 N independent jobs, grouped
-    // [config1 x N][config2 x N][...] so result i maps back to
-    // (i / N, i % N).
-    std::vector<runner::SimJob> batch;
-    batch.reserve(3 * n);
+    // The 3 configs run as one gang per trace, chunk-interleaved over
+    // shared trace bytes (bit-identical to runOne() per config — the
+    // golden-counter tests pin it).
+    std::vector<GangConfig> gang;
     for (const auto &c : cfgs)
-        for (const auto &t : traces)
-            batch.push_back({c.name, c.params, t.get()});
-
-    runner::JobRunner jr(jobs);
-    jr.setProgress(runner::consoleProgress()); // tty-only status line
-    auto raw = jr.run(batch);
-    auto results = unpack(batch, std::move(raw));
-
+        gang.push_back({c.name, c.params});
+    GangRunner gr(std::move(gang), jobs);
+    gr.setProgress(runner::consoleProgress()); // tty-only status line
+    auto res = gr.run(traces);
+    std::vector<std::vector<cpu::SimResult>> per_cfg;
+    for (std::size_t ci = 0; ci < 3; ++ci)
+        per_cfg.push_back(unpackGang(cfgs[ci].name, traces,
+                                     std::move(res[ci])));
     for (std::size_t i = 0; i < n; ++i) {
         rows[i].trace = traces[i]->name();
-        rows[i].base = std::move(results[i]);
-        rows[i].withBtb2 = std::move(results[n + i]);
-        rows[i].largeBtb1 = std::move(results[2 * n + i]);
+        rows[i].base = std::move(per_cfg[0][i]);
+        rows[i].withBtb2 = std::move(per_cfg[1][i]);
+        rows[i].largeBtb1 = std::move(per_cfg[2][i]);
     }
     return rows;
 }
@@ -203,36 +147,13 @@ SuiteRunner::SuiteRunner(double scale)
               f.message);
 }
 
-std::vector<cpu::SimResult>
-SuiteRunner::runBatch(const core::MachineParams &cfg,
-                      const std::string &cfg_name)
-{
-    core::MachineParams sweep_cfg = cfg;
-    sweep_cfg.collectStatsText = false; // counters only in sweeps
-    std::vector<runner::SimJob> batch;
-    batch.reserve(tr.size());
-    for (const auto &t : tr)
-        batch.push_back({cfg_name, sweep_cfg, t.get()});
-    runner::JobRunner jr(jobs);
-    jr.setProgress(adaptProgress(progress));
-    return unpack(batch, jr.run(batch));
-}
-
 std::vector<std::vector<double>>
 SuiteRunner::sweepImprovements(const std::vector<core::MachineParams> &cfgs)
 {
     std::vector<std::vector<double>> out;
     out.reserve(cfgs.size());
 
-    if (!fuseFromEnv()) {
-        for (const auto &c : cfgs)
-            out.push_back(improvements(c));
-        return out;
-    }
-
-    // One gang: [baseline if missing] + every sweep point.  Config
-    // names match the incremental path so JSONL records and resume keys
-    // are interchangeable between the two.
+    // One gang: [baseline if missing] + every sweep point.
     std::vector<GangConfig> gang;
     const bool need_base = base.empty();
     if (need_base) {
@@ -245,6 +166,8 @@ SuiteRunner::sweepImprovements(const std::vector<core::MachineParams> &cfgs)
         s.collectStatsText = false;
         gang.push_back({describe(c), std::move(s)});
     }
+    if (gang.empty())
+        return out;
 
     GangRunner gr(std::move(gang), jobs);
     gr.setProgress(adaptProgress(progress));
@@ -286,20 +209,14 @@ const std::vector<cpu::SimResult> &
 SuiteRunner::baseline()
 {
     if (base.empty())
-        base = runBatch(configNoBtb2(), "baseline");
+        sweepImprovements({});
     return base;
 }
 
 std::vector<double>
 SuiteRunner::improvements(const core::MachineParams &cfg)
 {
-    const auto &b = baseline();
-    const auto results = runBatch(cfg, describe(cfg));
-    std::vector<double> out;
-    out.reserve(tr.size());
-    for (std::size_t i = 0; i < tr.size(); ++i)
-        out.push_back(cpu::cpiImprovement(b[i], results[i]));
-    return out;
+    return sweepImprovements({cfg}).front();
 }
 
 double

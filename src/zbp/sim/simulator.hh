@@ -4,10 +4,11 @@
  * compute the paper's derived metrics (CPI improvement, BTB2
  * effectiveness).  Every bench binary is a thin wrapper over this.
  *
- * All batch entry points shard their independent simulations across
- * worker threads via zbp::runner (ZBP_JOBS / setJobs()); results are
- * bit-identical to a serial run and each simulation emits one JSONL
- * record when ZBP_RESULTS_JSONL is set.
+ * Every batch entry point runs its configurations as one gang per
+ * trace (sim::GangRunner), sharding the traces across worker threads
+ * (ZBP_JOBS / setJobs()); results are bit-identical to serial runOne()
+ * calls and each (config, trace) simulation emits one JSONL record when
+ * ZBP_RESULTS_JSONL is set.
  */
 
 #ifndef ZBP_SIM_SIMULATOR_HH
@@ -50,12 +51,9 @@ Fig2Row runFig2Row(const trace::Trace &t);
 /**
  * Run the Figure 2 comparison for every trace, sharding across worker
  * threads (@p jobs 0 = ZBP_JOBS / auto).  Row order matches @p traces.
- *
- * Default execution is the fused path: the 3 configurations run as one
- * gang per trace in chunk-interleaved order (see GangRunner), sharing
- * the trace bytes and one TraceIndex per trace.  ZBP_FUSE=0 falls back
- * to independent job-per-(config, trace) execution; both paths produce
- * bit-identical results and JSONL records.
+ * The 3 configurations run as one gang per trace in chunk-interleaved
+ * order (see GangRunner), sharing the trace bytes and one TraceIndex
+ * per trace.
  */
 std::vector<Fig2Row>
 runFig2Rows(const std::vector<trace::TraceHandle> &traces,
@@ -65,9 +63,6 @@ runFig2Rows(const std::vector<trace::TraceHandle> &traces,
  * copied; they must outlive the call). */
 std::vector<Fig2Row> runFig2Rows(const std::vector<trace::Trace> &traces,
                                  unsigned jobs = 0);
-
-/** False when ZBP_FUSE=0 disables gang-chunked sweep fusion. */
-bool fuseFromEnv();
 
 /**
  * Loads the 13 paper suites once (through the workload trace cache,
@@ -90,20 +85,21 @@ class SuiteRunner
     /** Baseline (config 1) results, computed on first use. */
     const std::vector<cpu::SimResult> &baseline();
 
-    /** Per-trace % CPI improvement of @p cfg over the baseline.  A
-     * failed simulation contributes 0.0 and a warning. */
+    /** Per-trace % CPI improvement of @p cfg over the baseline (a
+     * one-config sweepImprovements()).  A failed simulation
+     * contributes 0.0 and a warning. */
     std::vector<double> improvements(const core::MachineParams &cfg);
 
     /** Mean of improvements() — the y-axis of Figures 5/6/7. */
     double averageImprovement(const core::MachineParams &cfg);
 
     /**
-     * Fused sweep: run every config of @p cfgs — plus the baseline if
-     * it is not yet computed — as ONE gang over the suite traces;
-     * result [k] is improvements(cfgs[k]).  Emits the same per-
-     * (config, trace) JSONL records as the incremental path (config
-     * names "baseline" / describe(cfg)).  ZBP_FUSE=0 falls back to
-     * calling improvements() per config; results are bit-identical.
+     * Run every config of @p cfgs — plus the baseline if it is not yet
+     * computed — as ONE gang over the suite traces; result [k] is the
+     * per-trace improvement of cfgs[k].  Each (config, trace) emits one
+     * JSONL record under the config name "baseline" or describe(cfg),
+     * whichever entry point computed it, so records and resume keys do
+     * not depend on how a sweep was batched.
      */
     std::vector<std::vector<double>>
     sweepImprovements(const std::vector<core::MachineParams> &cfgs);
@@ -117,9 +113,6 @@ class SuiteRunner
     void setProgress(std::function<void(const std::string &)> cb);
 
   private:
-    std::vector<cpu::SimResult> runBatch(const core::MachineParams &cfg,
-                                         const std::string &cfg_name);
-
     std::vector<trace::TraceHandle> tr;
     std::vector<cpu::SimResult> base;
     std::function<void(const std::string &)> progress;

@@ -8,6 +8,7 @@
  * failed jobs.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -26,6 +27,32 @@ namespace zbp::runner
 {
 namespace
 {
+
+/** Healthy jobs get this many times their measured solo time as the
+ * chaos timeout; the long trace below is 250x a healthy one, so it
+ * cannot finish inside the budget on any host or build. */
+constexpr double kBudgetFactor = 20.0;
+
+/** Wall-clock seconds of the slowest of @p jobs run alone and untimed,
+ * best of three so a scheduling hiccup cannot inflate the budget. */
+double
+slowestHealthySeconds(const std::vector<SimJob> &jobs)
+{
+    double slowest = 0.0;
+    for (const SimJob &job : jobs) {
+        double best = 1e30;
+        for (int rep = 0; rep < 3; ++rep) {
+            JobRunner solo(1);
+            solo.setSinkPath("");
+            solo.setJobTimeout(0.0);
+            const auto r = solo.run({job});
+            EXPECT_TRUE(r[0].ok) << r[0].error;
+            best = std::min(best, r[0].seconds);
+        }
+        slowest = std::max(slowest, best);
+    }
+    return slowest;
+}
 
 /** A trace whose simulation takes far longer than the chaos timeout,
  * so the watchdog provably kills it rather than racing completion. */
@@ -74,9 +101,14 @@ TEST(ChaosSweep, MixedFailureSweepCompletesAndResumeReRunsOnlyFailures)
     jobs.push_back(SimJob("hanging", sim::configBtb2(), &hanging));
     jobs.push_back(SimJob("healthy-b", sim::configBtb2(), &healthy2));
 
+    // The budget scales with this host and build (an instrumented
+    // build is slower on every job alike), not a fixed wall-clock.
+    const double budget =
+            kBudgetFactor * slowestHealthySeconds({jobs[0], jobs[4]});
+
     JobRunner chaos(4);
     chaos.setSinkPath(sink1);
-    chaos.setJobTimeout(0.1); // healthy jobs finish in milliseconds
+    chaos.setJobTimeout(budget);
     const auto r1 = chaos.run(jobs);
     ASSERT_EQ(r1.size(), 5u);
 

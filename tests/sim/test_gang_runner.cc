@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "zbp/sim/gang_runner.hh"
 #include "zbp/sim/simulator.hh"
+#include "zbp/workload/generator.hh"
+#include "zbp/workload/program_builder.hh"
 
 namespace zbp::sim
 {
@@ -68,6 +71,17 @@ smallTraces()
     return out;
 }
 
+std::size_t
+countLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            ++lines;
+    return lines;
+}
+
 TEST(GangRunner, BitIdenticalToSerialAcrossChunkSizes)
 {
     const auto traces = smallTraces();
@@ -93,40 +107,6 @@ TEST(GangRunner, BitIdenticalToSerialAcrossChunkSizes)
                         << got[ci][ti].error << " (chunk " << chunk
                         << ")";
                 expectSameResult(got[ci][ti].result, ref[ci][ti]);
-            }
-        }
-    }
-}
-
-TEST(GangRunner, MicroChunkBitIdentical)
-{
-    const auto traces = smallTraces();
-    const auto gang = fig2Gang();
-
-    // Reference: default walk (micro-chunking off).
-    GangRunner ref_runner(gang, 1);
-    ref_runner.setSinkPath("");
-    ref_runner.setMicroChunk(0);
-    const auto ref = ref_runner.run(traces);
-
-    // Member-interleaved sub-windows of any size — degenerate (1),
-    // prime and misaligned (7), and equal to the default chunk
-    // (262144, i.e. one sub-window = the whole chunk) — must be
-    // bit-identical to the plain walk.
-    for (const std::size_t micro : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{262144}}) {
-        GangRunner runner(gang, 1);
-        runner.setSinkPath("");
-        runner.setMicroChunk(micro);
-        const auto got = runner.run(traces);
-        ASSERT_EQ(got.size(), gang.size());
-        for (std::size_t ci = 0; ci < gang.size(); ++ci) {
-            for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-                ASSERT_TRUE(got[ci][ti].ok)
-                        << got[ci][ti].error << " (micro " << micro
-                        << ")";
-                expectSameResult(got[ci][ti].result,
-                                 ref[ci][ti].result);
             }
         }
     }
@@ -164,34 +144,80 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
     const auto traces = smallTraces();
     runner.run(traces);
 
-    std::ifstream in(path);
-    std::size_t lines = 0;
-    for (std::string line; std::getline(in, line);)
-        if (!line.empty())
-            ++lines;
-    EXPECT_EQ(lines, 3 * traces.size());
+    EXPECT_EQ(countLines(path), 3 * traces.size());
     std::remove(path.c_str());
 }
 
-TEST(GangRunner, FuseEnvSelectsIdenticalFig2Rows)
+TEST(GangRunner, MemberOverItsTimeoutFailsAloneAndResumeRerunsIt)
 {
-    const auto traces = smallTraces();
+    // Two gangs of the 3 fig2 configs: a short suite trace and a
+    // generated one 250x as long.  The budget is 20x the slowest short
+    // member's measured busy time (best of three untimed runs), so only
+    // the long trace's members can outrun it, on any host or build.
+    const auto gang = fig2Gang();
+    const auto shortTrace =
+            workload::suiteTraceHandle(workload::findSuite("cb84"), 0.01);
+    workload::BuildParams bp;
+    bp.seed = 21;
+    bp.numFunctions = 120;
+    workload::GenParams gp;
+    gp.seed = 22;
+    gp.length = 250 * shortTrace->size();
+    const trace::Trace longTrace = workload::generateTrace(
+            workload::buildProgram(bp), gp, "gang-long");
 
-    ::setenv("ZBP_FUSE", "0", 1);
-    const auto legacy = runFig2Rows(traces, 1);
-    EXPECT_FALSE(fuseFromEnv());
-    ::setenv("ZBP_FUSE", "1", 1);
-    const auto fused = runFig2Rows(traces, 1);
-    EXPECT_TRUE(fuseFromEnv());
-    ::unsetenv("ZBP_FUSE");
-
-    ASSERT_EQ(fused.size(), legacy.size());
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-        EXPECT_EQ(fused[i].trace, legacy[i].trace);
-        expectSameResult(fused[i].base, legacy[i].base);
-        expectSameResult(fused[i].withBtb2, legacy[i].withBtb2);
-        expectSameResult(fused[i].largeBtb1, legacy[i].largeBtb1);
+    double healthy = 1e30;
+    for (int rep = 0; rep < 3; ++rep) {
+        GangRunner probe(gang, 1);
+        probe.setSinkPath("");
+        probe.setJobTimeout(0.0);
+        const auto r = probe.run({shortTrace});
+        double slowest = 0.0;
+        for (const auto &cell : r) {
+            ASSERT_TRUE(cell[0].ok) << cell[0].error;
+            slowest = std::max(slowest, cell[0].seconds);
+        }
+        healthy = std::min(healthy, slowest);
     }
+    const double budget = 20.0 * healthy;
+
+    const std::string sink1 = testing::TempDir() + "gang_timeout_a.jsonl";
+    const std::string sink2 = testing::TempDir() + "gang_timeout_b.jsonl";
+    std::remove(sink1.c_str());
+    std::remove(sink2.c_str());
+    const std::vector<trace::TraceHandle> traces = {
+            trace::borrowTrace(longTrace), shortTrace};
+
+    GangRunner runner(gang, 1);
+    runner.setSinkPath(sink1);
+    runner.setJobTimeout(budget);
+    const auto got = runner.run(traces);
+    for (std::size_t ci = 0; ci < gang.size(); ++ci) {
+        EXPECT_FALSE(got[ci][0].ok) << gang[ci].name;
+        EXPECT_NE(got[ci][0].error.find("timed out"), std::string::npos)
+                << got[ci][0].error;
+        ASSERT_TRUE(got[ci][1].ok) << got[ci][1].error;
+        expectSameResult(got[ci][1].result,
+                         runOne(gang[ci].cfg, *shortTrace));
+    }
+    EXPECT_EQ(countLines(sink1), 2 * gang.size());
+
+    // Resume: the short trace's cells come from the first sink; only
+    // the failed long-trace cells run again (and time out again).
+    GangRunner again(gang, 1);
+    again.setSinkPath(sink2);
+    again.setResumePath(sink1);
+    again.setJobTimeout(budget);
+    const auto rerun = again.run(traces);
+    for (std::size_t ci = 0; ci < gang.size(); ++ci) {
+        EXPECT_FALSE(rerun[ci][0].resumed) << gang[ci].name;
+        EXPECT_FALSE(rerun[ci][0].ok) << gang[ci].name;
+        EXPECT_TRUE(rerun[ci][1].resumed) << gang[ci].name;
+        EXPECT_EQ(rerun[ci][1].result.cycles, got[ci][1].result.cycles);
+    }
+    EXPECT_EQ(countLines(sink2), gang.size());
+    std::remove(sink1.c_str());
+    std::remove(sink2.c_str());
 }
 
 } // namespace
