@@ -115,6 +115,14 @@ main()
                     ? static_cast<double>(rep.stitched.instructions) /
                               rep.detailedSeconds
                     : 0.0;
+    // Fast-forward payoff (ROADMAP item 1): the warm-up pass's rate
+    // over the exact monolithic run's, both over (nearly) the whole
+    // trace on this host.
+    const double exact_rate =
+            exact_wall > 0.0 ? static_cast<double>(t.size()) / exact_wall
+                             : 0.0;
+    const double functional_over_detailed =
+            exact_rate > 0.0 ? rep.warmupInstsPerSec / exact_rate : 0.0;
 
     stats::TextTable tbl("Sampled simulation vs exact reference (" +
                          trace_name + ", " +
@@ -125,6 +133,13 @@ main()
     tbl.addRow({"jobs", std::to_string(sr.jobs())});
     tbl.addRow({"warm-up insts/s",
                 stats::TextTable::num(rep.warmupInstsPerSec, 0)});
+    tbl.addRow({"warm-up s (of which snapshot capture)",
+                stats::TextTable::num(rep.warmupSeconds, 3) + " (" +
+                        stats::TextTable::num(rep.warmupCaptureSeconds, 3) +
+                        ")"});
+    tbl.addRow({"exact insts/s", stats::TextTable::num(exact_rate, 0)});
+    tbl.addRow({"functional / detailed",
+                stats::TextTable::num(functional_over_detailed, 2)});
     tbl.addRow({"interval insts/s (per worker)",
                 stats::TextTable::num(interval_rate, 0)});
     tbl.addRow({"coverage %",
@@ -165,6 +180,7 @@ main()
     std::printf("sampled-summary: {\"trace\":\"%s\",\"instructions\":%llu,"
                 "\"mode\":\"%s\",\"intervals\":%llu,\"jobs\":%u,"
                 "\"warmup_insts_per_sec\":%.0f,"
+                "\"functional_over_detailed\":%.2f,"
                 "\"interval_insts_per_sec\":%.0f,"
                 "\"coverage\":%.4f,"
                 "\"sampled_wall_seconds\":%.3f,"
@@ -176,7 +192,8 @@ main()
                 static_cast<unsigned long long>(t.size()),
                 sample::to_string(prm.mode),
                 static_cast<unsigned long long>(rep.intervals),
-                sr.jobs(), rep.warmupInstsPerSec, interval_rate,
+                sr.jobs(), rep.warmupInstsPerSec,
+                functional_over_detailed, interval_rate,
                 rep.coverage, rep.wallSeconds, exact_wall,
                 rep.wallSeconds > 0.0 ? exact_wall / rep.wallSeconds
                                       : 0.0,

@@ -174,6 +174,7 @@ sampled = {
     "intervals": summary["intervals"],
     "coverage": summary["coverage"],
     "functional_insts_per_second": summary["warmup_insts_per_sec"],
+    "functional_over_detailed": summary["functional_over_detailed"],
     "interval_insts_per_second": summary["interval_insts_per_sec"],
     "sampled_wall_seconds": summary["sampled_wall_seconds"],
     "exact_wall_seconds": summary["exact_wall_seconds"],

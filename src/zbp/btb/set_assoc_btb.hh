@@ -26,6 +26,7 @@
 #ifndef ZBP_BTB_SET_ASSOC_BTB_HH
 #define ZBP_BTB_SET_ASSOC_BTB_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -221,6 +222,40 @@ class SetAssocBtb
         const std::uint32_t row = rowOf(ia);
         prefetchRead(&rowSig[row]);
         prefetchRead(&keys[slotBase(row)]);
+    }
+
+    /**
+     * The rowSig filter of readRow over a run of rows: bit k is set iff
+     * the row of first + k * rowBytes may hold a tag match for that
+     * address, for k < @p n <= 64.  A run longer than the BTB wraps
+     * around it, one tag per lap.  The key, address and target planes
+     * of every candidate row are prefetched, so a bulk read overlaps
+     * their loads before it visits the candidates.  Skips the fault
+     * hook — only valid when faultFree().
+     */
+    std::uint64_t
+    candidateRows(Addr first, unsigned n) const
+    {
+        ZBP_ASSERT(n <= 64, "candidateRows covers at most 64 rows");
+        std::uint64_t m = 0;
+        for (unsigned k = 0; k < n;) {
+            const Addr a = first + Addr{k} * cfg.rowBytes;
+            const std::uint64_t sig = tagSig(a);
+            const std::uint32_t row0 = rowOf(a);
+            const unsigned lap = std::min<unsigned>(n - k, cfg.rows - row0);
+            for (unsigned j = 0; j < lap; ++j)
+                m |= std::uint64_t{(rowSig[row0 + j] & sig) != 0} << (k + j);
+            k += lap;
+        }
+        for (std::uint64_t c = m; c != 0; c &= c - 1) {
+            const auto k = static_cast<unsigned>(std::countr_zero(c));
+            const std::size_t base =
+                    slotBase(rowOf(first + Addr{k} * cfg.rowBytes));
+            prefetchRead(&keys[base]);
+            prefetchRead(&ias[base]);
+            prefetchRead(&targets[base]);
+        }
+        return m;
     }
 
     /**

@@ -1,7 +1,5 @@
 #include "zbp/cache/icache.hh"
 
-#include <utility>
-
 namespace zbp::cache
 {
 
@@ -64,7 +62,7 @@ ICache::access(Addr addr, Cycle now)
     row[victim].valid = true;
     row[victim].tag = tag;
     lru[set].touch(victim);
-    blockMiss[addr >> 12] = now;
+    blockMiss.assign(addr >> 12, now);
     ++nMisses;
     return false;
 }
@@ -72,10 +70,10 @@ ICache::access(Addr addr, Cycle now)
 bool
 ICache::blockMissedRecently(Addr addr, Cycle now) const
 {
-    const auto it = blockMiss.find(addr >> 12);
-    if (it == blockMiss.end())
+    const Cycle *at = blockMiss.find(addr >> 12);
+    if (at == nullptr)
         return false;
-    return now >= it->second && now - it->second <= prm.missRecordTtl;
+    return now >= *at && now - *at <= prm.missRecordTtl;
 }
 
 void
@@ -102,17 +100,9 @@ ICache::saveState(ckpt::Writer &w) const
     for (const LruState &s : lru)
         for (unsigned i = 0; i < prm.ways; ++i)
             ckpt::storeLe<std::uint8_t>(p, s.orderAt(i));
-    // In block order, not hash order, so that saving a restored cache
-    // reproduces the image byte for byte.
-    std::vector<std::pair<Addr, Cycle>> bm(blockMiss.begin(),
-                                           blockMiss.end());
-    ckpt::sortByKey(bm, [](const auto &e) { return e.first; });
-    w.putU64(bm.size());
-    p = w.extend(bm.size() * 16);
-    for (const auto &[block, cycle] : bm) {
-        ckpt::storeLe<std::uint64_t>(p, block);
-        ckpt::storeLe<std::uint64_t>(p, cycle);
-    }
+    // In block order, so that saving a restored cache reproduces the
+    // image byte for byte.
+    blockMiss.save<std::uint64_t>(w);
     w.putU64(nHits.value());
     w.putU64(nMisses.value());
     w.endSection();
@@ -138,14 +128,7 @@ ICache::restoreState(ckpt::Reader &r)
             throw ckpt::CkptError("I-cache LRU state is not a permutation");
         p += prm.ways;
     }
-    const std::uint64_t n = r.getU64();
-    p = r.take(n, 16);
-    blockMiss.clear();
-    blockMiss.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr block = ckpt::loadLe<std::uint64_t>(p);
-        blockMiss[block] = ckpt::loadLe<std::uint64_t>(p);
-    }
+    blockMiss.load<std::uint64_t>(r);
     const std::uint64_t hits = r.getU64();
     const std::uint64_t misses = r.getU64();
     r.closeSection();

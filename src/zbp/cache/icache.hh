@@ -15,13 +15,13 @@
 #define ZBP_CACHE_ICACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/common/types.hh"
 #include "zbp/stats/stats.hh"
+#include "zbp/util/flat_addr_map.hh"
 #include "zbp/util/lru.hh"
 
 namespace zbp::cache
@@ -139,7 +139,7 @@ class ICache
     std::vector<LruState> lru;    ///< one per set
 
     /** 4 KB block number -> cycle of most recent miss in that block. */
-    std::unordered_map<Addr, Cycle> blockMiss;
+    FlatAddrMap<Cycle> blockMiss;
 
     stats::Counter nHits;
     stats::Counter nMisses;

@@ -130,12 +130,13 @@ loadLe(const std::uint8_t *&p)
 }
 
 /**
- * Sort @p v ascending by the u64 @p key of each element.  Hash-ordered
- * books (sets and maps keyed by address) are written in this order so
- * that saving a restored structure reproduces its image byte for byte.
- * LSD radix, a byte per pass, skipping the bytes every key shares: a
- * comparison sort of the few thousand addresses in a book costs more
- * than encoding the whole BTB.
+ * Sort @p v ascending by the u64 @p key of each element.  Address books
+ * (util/flat_addr_map.hh) are written in this order so that saving a
+ * restored structure reproduces its image byte for byte; each save
+ * sorts only the keys added since the previous one.  LSD radix, a byte
+ * per pass, skipping the bytes every key shares: a comparison sort of
+ * the few thousand addresses in a book costs more than encoding the
+ * whole BTB.
  */
 template <typename T, typename Key>
 void

@@ -297,19 +297,9 @@ BranchPredictorHierarchy::saveState(ckpt::Writer &w) const
 {
     w.beginSection(ckpt::tag::kHierarchy);
     w.putBool(ownsBtb2());
-    // In address order, not slot order, so that saving a restored
-    // hierarchy reproduces the image byte for byte.
-    std::vector<std::pair<Addr, Cycle>> ic;
-    ic.reserve(installCycle.size());
-    installCycle.forEach(
-            [&ic](Addr ia, Cycle c) { ic.emplace_back(ia, c); });
-    ckpt::sortByKey(ic, [](const auto &e) { return e.first; });
-    w.putU32(static_cast<std::uint32_t>(ic.size()));
-    std::uint8_t *p = w.extend(ic.size() * 16);
-    for (const auto &[ia, c] : ic) {
-        ckpt::storeLe<std::uint64_t>(p, ia);
-        ckpt::storeLe<std::uint64_t>(p, c);
-    }
+    // In address order, so that saving a restored hierarchy reproduces
+    // the image byte for byte.
+    installCycle.save<std::uint32_t>(w);
     w.putU64(nPredictions.value());
     w.putU64(nPromotions.value());
     w.putU64(nVictimsToBtb2.value());
@@ -336,13 +326,7 @@ BranchPredictorHierarchy::restoreState(ckpt::Reader &r)
     r.openSection(ckpt::tag::kHierarchy);
     if (r.getBool() != ownsBtb2())
         throw ckpt::CkptError("hierarchy BTB2 ownership mismatch");
-    const std::uint32_t nic = r.getU32();
-    const std::uint8_t *p = r.take(nic, 16);
-    installCycle.clear();
-    for (std::uint32_t i = 0; i < nic; ++i) {
-        const Addr ia = ckpt::loadLe<std::uint64_t>(p);
-        installCycle.assign(ia, ckpt::loadLe<std::uint64_t>(p));
-    }
+    installCycle.load<std::uint32_t>(r);
     const std::uint64_t preds = r.getU64();
     const std::uint64_t promos = r.getU64();
     const std::uint64_t victims = r.getU64();

@@ -805,6 +805,10 @@ CoreModel::run(const trace::Trace &t)
 void
 CoreModel::beginRun(const trace::Trace &t)
 {
+    if (everArmed)
+        throw std::logic_error(
+                "CoreModel already ran: a model simulates one trace "
+                "once, use a fresh model for another run");
     if (t.empty())
         throw std::invalid_argument("cannot simulate an empty trace");
     if (tidx != nullptr && tidx->size() != t.size())
@@ -817,7 +821,7 @@ CoreModel::beginRun(const trace::Trace &t)
                 "attached data-miss map does not match the trace (" +
                 std::to_string(dmiss->size()) + " vs " +
                 std::to_string(t.size()) + " instructions)");
-    ZBP_ASSERT(!runActive, "beginRun() while a run is active");
+    everArmed = true;
     startRun(t);
 
     pipe->restart(t[0].ia, 0);

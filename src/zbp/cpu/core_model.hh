@@ -150,7 +150,7 @@ struct SharedCoreContext
     unsigned coreId = 0;
 };
 
-/** One simulated machine, runnable over one trace. */
+/** One simulated machine, runnable once over one trace. */
 class CoreModel
 {
   public:
@@ -179,7 +179,9 @@ class CoreModel
     // LLC-hot by all of them.
 
     /** Arm a run over @p t (which must outlive it).  Throws
-     * std::invalid_argument on an empty trace or a mismatched index. */
+     * std::invalid_argument on an empty trace or a mismatched index,
+     * and std::logic_error on a model that was armed before: a model
+     * simulates one trace once, so a fresh run needs a fresh model. */
     void beginRun(const trace::Trace &t);
 
     /** Simulate until at least @p decode_target instructions have been
@@ -427,6 +429,7 @@ class CoreModel
     std::size_t lastDecodeIdx = 0;
     std::uint64_t cancelPoll = 0;
     bool runActive = false;
+    bool everArmed = false; ///< beginRun() succeeded once (one run per model)
     /** Control-flow successor of the instruction being decoded (from
      * the sidecar when attached, else computed). */
     Addr curNextIa = 0;

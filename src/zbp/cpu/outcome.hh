@@ -14,12 +14,11 @@
 #define ZBP_CPU_OUTCOME_HH
 
 #include <cstdint>
-#include <unordered_set>
-#include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/types.hh"
 #include "zbp/stats/stats.hh"
+#include "zbp/util/flat_addr_map.hh"
 
 namespace zbp::cpu
 {
@@ -58,7 +57,7 @@ class OutcomeTracker
     bool
     seenBefore(Addr ia)
     {
-        return !seen.insert(ia).second;
+        return !seen.insert(ia);
     }
 
     void
@@ -118,9 +117,9 @@ class OutcomeTracker
         g.add("phantom", counts[7], "phantom predictions");
     }
 
-    /** Serialize into one checkpoint section.  The seen set goes out
-     * in address order, not hash order, so that saving a restored
-     * tracker reproduces the image byte for byte. */
+    /** Serialize into one checkpoint section (the seen set in address
+     * order, so that saving a restored tracker reproduces the image
+     * byte for byte). */
     void
     saveState(ckpt::Writer &w) const
     {
@@ -128,12 +127,7 @@ class OutcomeTracker
         for (const auto &c : counts)
             w.putU64(c.value());
         w.putU64(total.value());
-        std::vector<Addr> addrs(seen.begin(), seen.end());
-        ckpt::sortByKey(addrs, [](Addr a) { return a; });
-        w.putU64(addrs.size());
-        std::uint8_t *p = w.extend(addrs.size() * 8);
-        for (const Addr a : addrs)
-            ckpt::storeLe<std::uint64_t>(p, a);
+        seen.save<std::uint64_t>(w);
         w.endSection();
     }
 
@@ -146,12 +140,7 @@ class OutcomeTracker
         for (auto &c : cs)
             c = r.getU64();
         const std::uint64_t tot = r.getU64();
-        const std::uint64_t n = r.getU64();
-        const std::uint8_t *p = r.take(n, 8);
-        std::unordered_set<Addr> fresh;
-        fresh.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            fresh.insert(ckpt::loadLe<std::uint64_t>(p));
+        seen.load<std::uint64_t>(r);
         r.closeSection();
         for (std::size_t i = 0; i < kNumOutcomes; ++i) {
             counts[i].reset();
@@ -159,14 +148,13 @@ class OutcomeTracker
         }
         total.reset();
         total += tot;
-        seen = std::move(fresh);
     }
 
   private:
     static constexpr std::size_t kNumOutcomes = 8;
     stats::Counter counts[kNumOutcomes];
     stats::Counter total;
-    std::unordered_set<Addr> seen;
+    FlatAddrSet seen;
 };
 
 } // namespace zbp::cpu

@@ -1,6 +1,7 @@
 #include "zbp/preload/btb2_engine.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "zbp/obs/trace_writer.hh"
 
@@ -351,6 +352,10 @@ Btb2Engine::functionalPreload(Addr miss_addr, Cycle now)
     ZBP_ASSERT(arb == nullptr,
                "functional preload has no arbiter support (CMP mode is "
                "detailed-only)");
+    // candidateRows skips the per-row fault hook; functional mode
+    // refuses fault injection (CoreModel::advanceFunctional).
+    ZBP_ASSERT(btb2.faultFree(),
+               "functional preload has no fault-injection support");
     nextEventStale = true;
     ++nMissReports;
     const bool ic_valid = prm.icacheFilter
@@ -358,28 +363,45 @@ Btb2Engine::functionalPreload(Addr miss_addr, Cycle now)
             : true;
     const std::uint32_t row_bytes = btb2.config().rowBytes;
     const unsigned rows = rowsPerSector();
-    const auto readRowNow = [&](Addr row_addr) {
-        ++nRowReads;
-        for (const auto &h : btb2.readRow(row_addr)) {
-            btbp.install(h.entry);
-            ++nHits;
-            if (prm.semiExclusive)
-                btb2.demote(h.row, h.way);
+    // Reading a row only demotes BTB2 LRU state and writes the BTBP, so
+    // the rowSig filter of every row can be taken before the first
+    // read: rows it rejects are counted as read and never visited.
+    // Reads the rows first + k * row_bytes for the set bits k of @p m,
+    // in ascending k.
+    const auto readCandidates = [&](Addr first, std::uint64_t m) {
+        for (; m != 0; m &= m - 1) {
+            const Addr row_addr =
+                    first + Addr{static_cast<unsigned>(std::countr_zero(m))} *
+                                    row_bytes;
+            for (const auto &h : btb2.readRow(row_addr)) {
+                btbp.install(h.entry);
+                ++nHits;
+                if (prm.semiExclusive)
+                    btb2.demote(h.row, h.way);
+            }
         }
     };
     if (ic_valid) {
         // Fully active: all rows of the 4 KB block in SOT priority
         // order (the order no longer affects what lands in the BTBP —
         // everything does, instantly — but it keeps the SOT's own
-        // hit/miss books moving like a detailed run's).
+        // hit/miss books and the BTB2 LRU moving like a detailed run's).
         ++nFull;
         const SectorOrder order = sot.order(miss_addr);
         const Addr base = blockOf(miss_addr) << 12;
+        // Row k of the block is base + k * row_bytes; sector s holds
+        // rows [s * rows, (s + 1) * rows), never straddling a word.
+        const unsigned block_rows = kSectorsPerBlock * rows;
+        std::array<std::uint64_t, RowSchedule::kCapacity / 64> cand{};
+        for (unsigned k = 0; k < block_rows; k += 64)
+            cand[k / 64] = btb2.candidateRows(
+                    base + Addr{k} * row_bytes,
+                    std::min(64u, block_rows - k));
+        nRowReads += block_rows;
         for (unsigned i = 0; i < kSectorsPerBlock; ++i) {
-            const Addr sector_base =
-                    base + Addr{order.sectors[i]} * kSectorBytes;
-            for (unsigned r = 0; r < rows; ++r)
-                readRowNow(sector_base + Addr{r} * row_bytes);
+            const unsigned k0 = unsigned{order.sectors[i]} * rows;
+            readCandidates(base + Addr{k0} * row_bytes,
+                           (cand[k0 / 64] >> (k0 % 64)) & maskBits(rows));
         }
     } else {
         // Partial search of the miss sector.  The detailed machinery
@@ -389,8 +411,13 @@ Btb2Engine::functionalPreload(Addr miss_addr, Cycle now)
         ++nPartial;
         ++nPartialAbandoned;
         const Addr sector_base = alignDown(miss_addr, kSectorBytes);
-        for (unsigned r = 0; r < rows * prm.partialSectors; ++r)
-            readRowNow(sector_base + Addr{r} * row_bytes);
+        const unsigned n = rows * prm.partialSectors;
+        nRowReads += n;
+        for (unsigned k = 0; k < n; k += 64) {
+            const Addr first = sector_base + Addr{k} * row_bytes;
+            readCandidates(first,
+                           btb2.candidateRows(first, std::min(64u, n - k)));
+        }
     }
 }
 

@@ -164,8 +164,11 @@ class Btb2Engine : public MissSink
      * the BTBP immediately, and the same row-read/hit/search counters
      * advance.  No tracker is allocated and no pipeline entry is
      * queued, so the engine stays quiescent and serializable between
-     * calls.  No arbiter support (CMP mode is detailed-only); the
-     * transfer-path fault hook is not exercised.
+     * calls.  The block is read through one pass over its rows'
+     * signature filter: only candidate rows are visited (still in SOT
+     * sector order), while the row-read count covers every row.  No
+     * arbiter support (CMP mode is detailed-only) and no fault
+     * injection (functional mode refuses it).
      */
     void functionalPreload(Addr miss_addr, Cycle now);
 

@@ -328,6 +328,7 @@ SampleRunner::run(const std::string &config_name,
 
     rep.warmupInstructions = fan.instructions;
     rep.warmupSeconds = fan.seconds;
+    rep.warmupCaptureSeconds = fan.captureSeconds;
     rep.warmupInstsPerSec = fan.instsPerSec;
     rep.wallSeconds = secondsSince(t0);
     return rep;

@@ -64,6 +64,9 @@ struct SampleReport
     std::size_t warmupInstructions = 0; ///< insts walked by the warm-up
     /** Wall clock of the warm-up pass; the intervals overlap it. */
     double warmupSeconds = 0.0;
+    /** The part of warmupSeconds spent saving and capturing snapshots
+     * (the rest is functional or detailed execution). */
+    double warmupCaptureSeconds = 0.0;
     double warmupInstsPerSec = 0.0;
     /** Summed per-interval busy time, each from the end of its wait for
      * a snapshot. */

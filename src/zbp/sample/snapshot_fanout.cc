@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace zbp::sample
 {
@@ -55,13 +56,18 @@ runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
             m.advance(plan[i].snapshotAt);
         else
             m.advanceFunctional(plan[i].snapshotAt);
+        const auto c0 = std::chrono::steady_clock::now();
         w.clear();
         m.saveState(w);
         w.finish();
+        ckpt::SnapshotBuffer snap = ckpt::SnapshotBuffer::capture(w);
+        out.captureSeconds += std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - c0)
+                                      .count();
         if (on_snapshot)
-            on_snapshot(i, ckpt::SnapshotBuffer::capture(w));
+            on_snapshot(i, std::move(snap));
         else
-            out.snapshots[i] = ckpt::SnapshotBuffer::capture(w);
+            out.snapshots[i] = std::move(snap);
     }
 
     out.instructions = m.decodedInstructions();

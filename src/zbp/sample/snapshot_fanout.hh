@@ -70,6 +70,9 @@ struct FanoutResult
     std::vector<ckpt::SnapshotBuffer> snapshots;
     std::size_t instructions = 0; ///< instructions walked by the pass
     double seconds = 0.0;
+    /** The part of seconds spent saving and capturing snapshots; the
+     * rest is execution between boundaries. */
+    double captureSeconds = 0.0;
     double instsPerSec = 0.0;
 };
 

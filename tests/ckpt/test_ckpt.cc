@@ -4,17 +4,20 @@
  * against known answers and a bitwise reference, writer/reader
  * round-trips, span bounds, CRC + bounds enforcement on every
  * corruption class (truncation, bit flips, wrong tags, trailing
- * garbage), the byte image of a real fan-out snapshot (golden
- * per-section digests, and save(restore(s)) == s), the atomic file
- * helpers, and the ZBP_CKPT_* environment contract.
+ * garbage), the byte images of a real fan-out (golden per-section
+ * digests of the last snapshot, golden digests of every snapshot, and
+ * save(restore(s)) == s), the atomic file helpers, and the ZBP_CKPT_*
+ * environment contract.
  *
- * Regenerating the golden section digests: build with the encoder you
- * trust, then run
+ * Regenerating the golden digests: build with the encoder you trust,
+ * then run
  *   ZBP_GOLDEN_REGEN=1 ./zbp_ckpt_tests --gtest_filter='CkptGolden*'
- * and paste the printed rows over the kGoldenSections table below.
+ * and paste the printed rows over the kGoldenSections, kGoldenImages
+ * and kGoldenImages16 tables below.
  */
 
 #include <cstdio>
+#include <iterator>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -313,13 +316,15 @@ makeTrace(const std::string &name)
     return workload::generateTrace(prog, gp, name);
 }
 
-/** The fast-mode warm-up snapshots of @p t, four intervals' worth. */
+/** The fast-mode warm-up snapshots of @p t, @p intervals intervals'
+ * worth. */
 sample::FanoutResult
-fanout(const core::MachineParams &cfg, const trace::Trace &t)
+fanout(const core::MachineParams &cfg, const trace::Trace &t,
+       std::size_t intervals = 4)
 {
     sample::SampleParams p;
     p.mode = sample::SampleMode::kFast;
-    p.intervalInsts = t.size() / 4;
+    p.intervalInsts = t.size() / intervals;
     p.warmupInsts = p.intervalInsts / 20;
     p.measureInsts = p.intervalInsts / 10;
     cpu::CoreModel m(cfg);
@@ -417,6 +422,90 @@ TEST(CkptGolden, FanoutSnapshotSectionDigests)
         EXPECT_EQ(got[i].len, kGoldenSections[i].len);
         EXPECT_EQ(got[i].fnv, kGoldenSections[i].fnv);
     }
+}
+
+/** Size and FNV-1a of one whole snapshot image. */
+struct ImageDigest
+{
+    std::uint64_t size;
+    std::uint64_t fnv;
+};
+
+ImageDigest
+imageDigest(const SnapshotBuffer &snap)
+{
+    ImageDigest d{snap.sizeBytes(), 1469598103934665603ull};
+    for (const std::uint8_t b : snap.bytes()) {
+        d.fnv ^= b;
+        d.fnv *= 1099511628211ull;
+    }
+    return d;
+}
+
+// clang-format off
+// tpf at 0.02x, configBtb2, every fan-out snapshot in order (the empty
+// slot of interval 0 digests as size 0).  kGoldenImages is the fan-out
+// kGoldenSections samples the last image of; kGoldenImages16 cuts the
+// same trace into 16 intervals, so the address books are saved fifteen
+// times in one run.  Regenerate like kGoldenSections.
+const ImageDigest kGoldenImages[] = {
+    {0u, 0x14650fb0739d0383ull},
+    {890884u, 0xad1a39fa9cc5476eull},
+    {900012u, 0xb97858edf312e707ull},
+    {904204u, 0x27e931e9b609aceaull},
+};
+const ImageDigest kGoldenImages16[] = {
+    {0u, 0x14650fb0739d0383ull},
+    {883852u, 0xba7a6f9d32f9275aull},
+    {886684u, 0x54dae5704ded61daull},
+    {888852u, 0xcdca534495d241eaull},
+    {890884u, 0x2293fbb8798ff73bull},
+    {891372u, 0xc2b773b8d4d30147ull},
+    {893260u, 0x31c23e279539e7ccull},
+    {897372u, 0x3b3afec198ae89b2ull},
+    {900012u, 0xe866488912c2d8a0ull},
+    {900708u, 0xcf0b6c87b7c53ff1ull},
+    {901908u, 0xd853a348ddfd1cdeull},
+    {903788u, 0x041426b81157a237ull},
+    {904204u, 0x32d6b8f2d388da59ull},
+    {905372u, 0x96c67781424fbf14ull},
+    {907380u, 0x3d2e1d3a4b5e4db2ull},
+    {909348u, 0xcb0e596f6a5b0211ull},
+};
+// clang-format on
+
+void
+checkEverySnapshot(std::size_t intervals, const ImageDigest *want,
+                   std::size_t n)
+{
+    const trace::Trace t = makeTrace("tpf");
+    const sample::FanoutResult fan = fanout(sim::configBtb2(), t, intervals);
+    std::vector<ImageDigest> got;
+    for (const SnapshotBuffer &snap : fan.snapshots)
+        got.push_back(imageDigest(snap));
+    if (regenMode()) {
+        for (const ImageDigest &d : got)
+            std::printf("    {%lluu, 0x%016llxull},\n",
+                        static_cast<unsigned long long>(d.size),
+                        static_cast<unsigned long long>(d.fnv));
+        GTEST_SKIP() << "regen mode: rows printed, nothing asserted";
+    }
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE("snapshot " + std::to_string(i));
+        EXPECT_EQ(got[i].size, want[i].size);
+        EXPECT_EQ(got[i].fnv, want[i].fnv);
+    }
+}
+
+TEST(CkptGolden, FanoutEverySnapshotDigest)
+{
+    checkEverySnapshot(4, kGoldenImages, std::size(kGoldenImages));
+}
+
+TEST(CkptGolden, FanoutEverySnapshotDigest16)
+{
+    checkEverySnapshot(16, kGoldenImages16, std::size(kGoldenImages16));
 }
 
 TEST(CkptImage, SaveOfRestoreReproducesTheSnapshot)

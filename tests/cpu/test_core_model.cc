@@ -78,6 +78,32 @@ TEST(CoreModel, EmptyTraceThrows)
     EXPECT_THROW((void)m.run(Trace{}), std::invalid_argument);
 }
 
+TEST(CoreModel, SecondRunOnOneModelThrowsUpFront)
+{
+    // A model simulates one trace once: a second run used to replay the
+    // whole trace and only then fail its outcome-count invariant.
+    const Trace t = sequentialTrace(2000);
+    CoreModel m(noStallParams());
+    (void)m.run(t);
+    EXPECT_THROW((void)m.run(t), std::logic_error);
+    EXPECT_THROW(m.beginRun(t), std::logic_error);
+    EXPECT_FALSE(m.runInProgress());
+
+    // Re-arming an armed model is refused the same way.
+    CoreModel armed(noStallParams());
+    armed.beginRun(t);
+    EXPECT_THROW(armed.beginRun(t), std::logic_error);
+    EXPECT_TRUE(armed.runInProgress());
+}
+
+TEST(CoreModel, RejectedBeginRunLeavesTheModelUnused)
+{
+    CoreModel m(noStallParams());
+    EXPECT_THROW(m.beginRun(Trace{}), std::invalid_argument);
+    const auto r = m.run(sequentialTrace(500));
+    EXPECT_EQ(r.instructions, 500u);
+}
+
 TEST(CoreModel, FirstSurpriseIsCompulsoryAndInstalls)
 {
     Trace t("one-branch");
